@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+SRC = BENCH_DIR.parent / "src"
+for path in (BENCH_DIR, SRC):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
