@@ -261,7 +261,7 @@ def cmd_safe(args) -> int:
             and np.allclose(reservoir, _KETS["zero"], atol=1e-12)):
         raise SystemExit("the unwinding sweeps are defined for --system one --reservoir zero")
     sweep = sweep_correct if args.mode == "correct" else sweep_incorrect
-    hist = sweep(n, angle, threads=args.threads, sample=args.sample, seed=args.seed)
+    hist = sweep(n, angle, sample=args.sample, seed=args.seed)
     if args.format == "csv":
         _write(args.out, hist.to_csv())
     else:
@@ -317,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--sample", type=int,
                        help="sample this many random trials instead of the full sweep")
 

@@ -50,6 +50,8 @@ class SwapAngle:
 
     def __init__(self, eta: float):
         eta = float(eta)
+        if not math.isfinite(eta):
+            raise ValueError(f"the swap angle must be finite, got {eta}")
         s, c = math.sin(eta), math.cos(eta)
         folded = math.atan2(abs(s), abs(c))
         if abs(folded - eta) > 1e-15:

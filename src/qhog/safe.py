@@ -7,16 +7,22 @@ unwinding order, reads off the sigma_z parameter z of the qubit guessed
 to be the system (z = -1 means perfect recovery of |1>), and bins the
 results into a fixed 21-bin histogram over [-1, 1].
 
-The sweeps run in the one-excitation sector.  A depth-first walk over the
-permutation tree shares common prefixes, so each tree edge costs exactly
-one inverse collision; with a per-edge unit phase factored out only the
-two involved amplitudes change, which is what makes 10! total unwindings
-cheap.
+The sweeps run in the one-excitation sector.  With a unit phase per
+inverse collision divided out, unwinding the chosen qubit j against slot
+k changes only b_j and b_k, and each slot is read once, at its forward
+value.  So unwinding in the order (k_1, ..., k_N) is the Horner
+recurrence b_j <- u b_j + v b_(k_i), i = 1..N, with u = c^2 + ics and
+v = s^2 - ics (c = cos eta, s = sin eta), and z = 1 - 2|b_j|^2.  One
+kernel runs that recurrence step by step over a table of orders, all
+rows at once.  The exhaustive sweep writes every order as a short prefix
+followed by a row of one shared table of the min(N, 7)! suffix
+permutations; the sampled sweep draws its orders in fixed-size batches.
+Memory stays bounded for any N.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +34,11 @@ EXACT_REVERSAL_TOL = 1e-9
 NEAR_REVERSAL_TOL = 1e-6
 
 NUM_BINS = 21
+
+# length of the suffix shared by all exhaustive orders (a 7! x 7 table)
+SUFFIX_LEN = 7
+# order-table entries per sampled batch
+SAMPLE_BATCH_SLOTS = 1 << 15
 
 
 def bin_centers() -> list[float]:
@@ -120,129 +131,91 @@ def unwind_z_excitation(amplitudes, chosen: int, order, angle: SwapAngle) -> flo
     return 1.0 - 2.0 * float(abs(amps[chosen]) ** 2)
 
 
-@dataclass
-class SweepStats:
-    leaves: int = 0
-    edges: int = 0
+def bin_indices(z: np.ndarray) -> np.ndarray:
+    """``bin_index`` of every entry of ``z``, with the same clip, shift and truncation."""
+    idx = ((np.clip(z, -1.0, 1.0) + 1.05) * 10.0 + 1e-9).astype(np.intp)
+    return np.clip(idx, 0, NUM_BINS - 1)
 
 
-def enumerate_unwindings(amplitudes, chosen: int, pool, angle: SwapAngle, visit) -> SweepStats:
-    """Depth-first sweep over all orders of ``pool`` with prefix sharing.
+def _unwind_steps(re, im, steps, wr, wi, u: complex):
+    """Run b_j <- u*b_j + v*b_k over the slots k of ``steps``, one step per entry.
 
-    Each edge of the permutation tree applies one inverse collision
-    between ``chosen`` and the next pool element.  A unit phase common to
-    all spectator amplitudes is divided out per edge, after which only the
-    two involved amplitudes change; backtracking restores just those two.
-    ``visit(order, z)`` is called at every leaf -- ``order`` is only valid
-    for the duration of the call.
+    ``re``/``im`` are b_j as scalars or one value per row, ``steps[i]`` is
+    the slot (or per-row slots) unwound at step i, and ``wr``/``wi`` are
+    the parts of v*b_k for the forward amplitudes.  The real arithmetic
+    spells out Python's complex product term by term, so every row is
+    bit-identical to the scalar recurrence.
     """
+    ur, ui = u.real, u.imag
+    for k in steps:
+        re, im = ur * re - ui * im + wr[k], ur * im + ui * re + wi[k]
+    return re, im
+
+
+def _exhaustive(b, chosen_list, wr, wi, u):
+    """(re, im) of b_j for every order, one shared-suffix block per prefix."""
+    n = b.size - 1
+    m = min(SUFFIX_LEN, n)
+    suffixes = np.array(list(itertools.permutations(range(m))), dtype=np.intp).T
+    for chosen in chosen_list:
+        pool = [q for q in range(n + 1) if q != chosen]
+        for prefix in itertools.permutations(pool, n - m):
+            re, im = _unwind_steps(b[chosen].real, b[chosen].imag, prefix, wr, wi, u)
+            rest = np.array([q for q in pool if q not in prefix], dtype=np.intp)
+            yield _unwind_steps(re, im, rest[suffixes], wr, wi, u)
+
+
+def _sampled(b, chosen_list, wr, wi, u, sample: int, seed: int):
+    """(re, im) of b_j for ``sample`` seeded random (chosen, order) draws, in batches."""
+    rng = np.random.default_rng(seed)
+    n = b.size - 1
+    rows = max(1, SAMPLE_BATCH_SLOTS // n)
+    for start in range(0, sample, rows):
+        chosen = np.empty(min(rows, sample - start), dtype=np.intp)
+        orders = np.empty((chosen.size, n), dtype=np.intp)
+        for r in range(chosen.size):
+            chosen[r] = chosen_list[int(rng.integers(len(chosen_list)))]
+            perm = rng.permutation(n)
+            orders[r] = perm + (perm >= chosen[r])  # index into the pool -> qubit
+        yield _unwind_steps(b.real[chosen], b.imag[chosen], orders.T, wr, wi, u)
+
+
+def _sweep(mode: str, n_reservoir: int, angle, sample, seed) -> UnwindHistogram:
+    if angle is None:
+        raise ValueError("an interaction angle is required")
+    if n_reservoir < 1:
+        raise ValueError(f"the sweeps need at least one reservoir qubit, got {n_reservoir}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"the sample size must be at least 1, got {sample}")
+    b = excitation_forward_run(n_reservoir, angle).amplitudes
     c, s = angle.c, angle.s
     u = complex(c * c, c * s)
     v = complex(s * s, -c * s)
-    b = [complex(x) for x in amplitudes]
-    stats = SweepStats()
-    prefix: list[int] = []
-
-    def dfs(remaining):
-        if not remaining:
-            bc = b[chosen]
-            visit(prefix, 1.0 - 2.0 * (bc.real * bc.real + bc.imag * bc.imag))
-            stats.leaves += 1
-            return
-        for i, k in enumerate(remaining):
-            bc, bk = b[chosen], b[k]
-            b[chosen] = u * bc + v * bk
-            b[k] = v * bc + u * bk
-            stats.edges += 1
-            prefix.append(k)
-            dfs(remaining[:i] + remaining[i + 1 :])
-            prefix.pop()
-            b[chosen], b[k] = bc, bk
-
-    dfs(tuple(int(q) for q in pool))
-    return stats
-
-
-def _accumulate_exhaustive(amplitudes, chosen, pool, angle, counts, extras) -> int:
-    """Run one full DFS, binning every leaf; returns the number of leaves."""
-
-    def visit(_order, z):
-        counts[bin_index(z)] += 1
-        d = z + 1.0
-        if -NEAR_REVERSAL_TOL <= d <= NEAR_REVERSAL_TOL:
-            extras[1] += 1
-            if -EXACT_REVERSAL_TOL <= d <= EXACT_REVERSAL_TOL:
-                extras[0] += 1
-
-    return enumerate_unwindings(amplitudes, chosen, pool, angle, visit).leaves
-
-
-def _subtree_task(args) -> tuple[list[int], int, int, int]:
-    """Worker: unwind one first-element subtree and return its histogram."""
-    raw_amps, chosen, first, rest, angle = args
-    c, s = angle.c, angle.s
-    # apply the first edge with true amplitudes, then walk the subtree
-    amps = np.asarray(raw_amps, dtype=complex).copy()
-    a0, ak = amps[chosen], amps[first]
-    amps *= complex(c, -s)
-    amps[chosen] = c * a0 - 1j * s * ak
-    amps[first] = -1j * s * a0 + c * ak
-    counts = [0] * NUM_BINS
-    extras = [0, 0]
-    leaves = _accumulate_exhaustive(list(amps), chosen, rest, angle, counts, extras)
-    return counts, leaves, extras[0], extras[1]
-
-
-def _run_sweep(forward_amps, chosen_list, angle, threads) -> tuple[list[int], int, int, int]:
-    counts = [0] * NUM_BINS
-    extras = [0, 0]
-    total = 0
-    n = len(forward_amps)
-    if threads <= 1:
-        for chosen in chosen_list:
-            pool = tuple(q for q in range(n) if q != chosen)
-            total += _accumulate_exhaustive(list(forward_amps), chosen, pool, angle, counts, extras)
-        return counts, total, extras[0], extras[1]
-
-    tasks = []
-    for chosen in chosen_list:
-        pool = tuple(q for q in range(n) if q != chosen)
-        for first in pool:
-            rest = tuple(q for q in pool if q != first)
-            tasks.append((list(forward_amps), chosen, first, rest, angle))
-    with ProcessPoolExecutor(max_workers=threads) as pool_exec:
-        for sub_counts, leaves, exact, near in pool_exec.map(_subtree_task, tasks):
-            for i in range(NUM_BINS):
-                counts[i] += sub_counts[i]
-            total += leaves
-            extras[0] += exact
-            extras[1] += near
-    return counts, total, extras[0], extras[1]
-
-
-def _run_sampled(forward_amps, chosen_list, angle, sample, seed) -> tuple[list[int], int, int, int]:
-    rng = np.random.default_rng(seed)
-    counts = [0] * NUM_BINS
-    extras = [0, 0]
-    n = len(forward_amps)
-    for _ in range(sample):
-        chosen = chosen_list[int(rng.integers(len(chosen_list)))]
-        pool = [q for q in range(n) if q != chosen]
-        order = [pool[i] for i in rng.permutation(len(pool))]
-        z = unwind_z_excitation(forward_amps, chosen, order, angle)
-        counts[bin_index(z)] += 1
-        d = z + 1.0
-        if -NEAR_REVERSAL_TOL <= d <= NEAR_REVERSAL_TOL:
-            extras[1] += 1
-            if -EXACT_REVERSAL_TOL <= d <= EXACT_REVERSAL_TOL:
-                extras[0] += 1
-    return counts, sample, extras[0], extras[1]
+    wr = v.real * b.real - v.imag * b.imag
+    wi = v.real * b.imag + v.imag * b.real
+    chosen_list = [0] if mode == "correct" else list(range(1, n_reservoir + 1))
+    if sample is None:
+        blocks = _exhaustive(b, chosen_list, wr, wi, u)
+    else:
+        blocks = _sampled(b, chosen_list, wr, wi, u, sample, seed)
+    counts = np.zeros(NUM_BINS, dtype=np.int64)
+    total = exact = near = 0
+    for re, im in blocks:
+        z = 1.0 - 2.0 * (re * re + im * im)
+        counts += np.bincount(bin_indices(z), minlength=NUM_BINS)
+        d = np.abs(z + 1.0)
+        near += int(np.count_nonzero(d <= NEAR_REVERSAL_TOL))
+        exact += int(np.count_nonzero(d <= EXACT_REVERSAL_TOL))
+        total += z.size
+    return UnwindHistogram(
+        tuple(int(x) for x in counts), total, n_reservoir, angle.eta, mode, exact, near
+    )
 
 
 def sweep_correct(
     n_reservoir: int = 9,
     angle: SwapAngle | None = None,
-    threads: int = 1,
+    *,
     sample: int | None = None,
     seed: int = 0,
 ) -> UnwindHistogram:
@@ -252,22 +225,13 @@ def sweep_correct(
     i.e. z = -1.  ``sample`` switches to that many random orders instead
     of the exhaustive sweep.
     """
-    if angle is None:
-        raise ValueError("an interaction angle is required")
-    forward = excitation_forward_run(n_reservoir, angle).amplitudes
-    if sample is not None:
-        counts, total, exact, near = _run_sampled(forward, [0], angle, sample, seed)
-    else:
-        counts, total, exact, near = _run_sweep(forward, [0], angle, threads)
-    return UnwindHistogram(
-        tuple(counts), total, n_reservoir, angle.eta, "correct", exact, near
-    )
+    return _sweep("correct", n_reservoir, angle, sample, seed)
 
 
 def sweep_incorrect(
     n_reservoir: int = 9,
     angle: SwapAngle | None = None,
-    threads: int = 1,
+    *,
     sample: int | None = None,
     seed: int = 0,
 ) -> UnwindHistogram:
@@ -276,14 +240,4 @@ def sweep_incorrect(
     Covers all N * N! combinations of wrong choice and order; none of
     them reverses the homogenization.
     """
-    if angle is None:
-        raise ValueError("an interaction angle is required")
-    forward = excitation_forward_run(n_reservoir, angle).amplitudes
-    chosen_list = list(range(1, n_reservoir + 1))
-    if sample is not None:
-        counts, total, exact, near = _run_sampled(forward, chosen_list, angle, sample, seed)
-    else:
-        counts, total, exact, near = _run_sweep(forward, chosen_list, angle, threads)
-    return UnwindHistogram(
-        tuple(counts), total, n_reservoir, angle.eta, "incorrect", exact, near
-    )
+    return _sweep("incorrect", n_reservoir, angle, sample, seed)

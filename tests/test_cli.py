@@ -256,6 +256,21 @@ def test_invalid_values_exit_cleanly(capsys):
         capsys, "homogenize", "--eta", "0.3", "--n", "4", "--system", "0.9,0,0"
     )
     assert code == 2  # Bloch vector outside the half-radius ball
+    for argv in (
+        ["safe", "--delta", "0.1", "--n", "-1"],
+        ["safe", "--delta", "0.1", "--sample", "-5"],
+        ["safe", "--delta", "0.1", "--sample", "0"],
+        ["safe", "--delta", "0.1", "--n", "0", "--mode", "incorrect"],
+        *(
+            [command, "--n", "3", f"--eta={eta}"]
+            for command in ("safe", "homogenize")
+            for eta in ("nan", "inf", "-inf")
+        ),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
 def test_verify_subset(capsys):

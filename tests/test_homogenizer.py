@@ -37,6 +37,12 @@ def test_swap_angle_canonicalization():
     assert folded.s**2 + folded.c**2 == pytest.approx(1.0, abs=1e-15)
 
 
+def test_swap_angle_rejects_non_finite():
+    for eta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            SwapAngle(eta)
+
+
 def test_swap_angle_pickles_exactly():
     # the parallel sweeps ship angles to worker processes; the cached
     # sin/cos must survive bit-identically

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from qhog.collision import excitation_forward_run, init_pure
-from qhog.homogenizer import SwapAngle
+from qhog.homogenizer import SwapAngle, budget_from_delta
 from qhog.safe import (
     NUM_BINS,
-    SweepStats,
     bin_centers,
     bin_index,
-    enumerate_unwindings,
+    bin_indices,
     sweep_correct,
     sweep_incorrect,
     unwind,
@@ -23,6 +22,22 @@ KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 
 ANGLE = SwapAngle.from_sin_squared(0.1)
+DELTA_ANGLE = SwapAngle(budget_from_delta(0.1).eta_max)  # the README's --delta 0.1
+
+# histograms of the README's --delta 0.1 sweeps as the earlier
+# prefix-sharing depth-first implementation produced them, bin for bin
+CORRECT_9_COUNTS = (
+    312, 8285, 32823, 72264, 100596, 90728, 47602, 10270, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+)
+INCORRECT_9_COUNTS = (
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 21362, 1195651, 2048907,
+)
+INCORRECT_9_SAMPLE_10000_SEED_1_COUNTS = (
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 67, 3696, 6237,
+)
 
 
 def test_bin_centers():
@@ -81,26 +96,91 @@ def test_identity_order_z_frozen():
     assert fast == pytest.approx(trial.z, abs=1e-12)
 
 
-def test_enumerate_counts_small_tree():
-    amps = excitation_forward_run(3, ANGLE).amplitudes
-    stats = enumerate_unwindings(amps, 0, (1, 2, 3), ANGLE, lambda order, z: None)
-    assert isinstance(stats, SweepStats)
-    assert stats.leaves == 6
-    assert stats.edges == 15  # permutation tree of 3 elements; naive replay costs 18
-
-
-def test_enumerate_matches_naive_replay():
-    n = 5
-    angle = SwapAngle.from_sin_squared(0.2)
+def _replay(n, angle, orders):
+    """Histogram, exact and near reversals of a naive replay of ``orders``."""
     amps = excitation_forward_run(n, angle).amplitudes
-    seen = {}
-    enumerate_unwindings(
-        amps, 0, tuple(range(1, n + 1)), angle, lambda order, z: seen.__setitem__(tuple(order), z)
-    )
-    assert len(seen) == math.factorial(n)
-    for perm in itertools.permutations(range(1, n + 1)):
-        naive = unwind_z_excitation(amps, 0, perm, angle)
-        assert seen[perm] == pytest.approx(naive, abs=1e-12)
+    counts = [0] * NUM_BINS
+    exact = near = 0
+    for chosen, order in orders:
+        z = unwind_z_excitation(amps, chosen, order, angle)
+        counts[bin_index(z)] += 1
+        exact += abs(z + 1.0) <= 1e-9
+        near += abs(z + 1.0) <= 1e-6
+    return tuple(counts), exact, near
+
+
+@pytest.mark.parametrize(
+    "mode,n,eta",
+    [
+        (mode, n, eta)
+        for mode in ("correct", "incorrect")
+        for n in (1, 5, 8)
+        for eta in (0.3, 1.2)
+        if (mode, n, eta) != ("incorrect", 8, 1.2)  # 8 x 8! naive replays once is enough
+    ],
+)
+def test_exhaustive_sweep_matches_naive_replay(mode, n, eta):
+    # n = 8 is longer than the shared 7-slot suffix, so orders are split
+    angle = SwapAngle(eta)
+    chosen_list = [0] if mode == "correct" else range(1, n + 1)
+    orders = [
+        (chosen, perm)
+        for chosen in chosen_list
+        for perm in itertools.permutations([q for q in range(n + 1) if q != chosen])
+    ]
+    sweep = sweep_correct if mode == "correct" else sweep_incorrect
+    hist = sweep(n, angle)
+    assert hist.total_trials == len(orders)
+    assert (hist.counts, hist.exact_reversals, hist.near_reversals) == _replay(n, angle, orders)
+
+
+def test_sweep_trial_counts():
+    for n in range(1, 10):
+        assert sweep_correct(n, ANGLE).total_trials == math.factorial(n)
+    for n in range(1, 9):
+        hist = sweep_incorrect(n, ANGLE)
+        assert hist.total_trials == sum(hist.counts) == n * math.factorial(n)
+
+
+@pytest.mark.parametrize("mode", ["correct", "incorrect"])
+def test_sampled_sweep_matches_seeded_replay(mode):
+    n, sample, seed = 9, 8000, 13  # several batches, the last one partial
+    chosen_list = [0] if mode == "correct" else list(range(1, n + 1))
+    rng = np.random.default_rng(seed)
+    orders = []
+    for _ in range(sample):
+        chosen = chosen_list[int(rng.integers(len(chosen_list)))]
+        pool = [q for q in range(n + 1) if q != chosen]
+        orders.append((chosen, [pool[i] for i in rng.permutation(n)]))
+    sweep = sweep_correct if mode == "correct" else sweep_incorrect
+    hist = sweep(n, ANGLE, sample=sample, seed=seed)
+    assert hist.total_trials == sample
+    assert (hist.counts, hist.exact_reversals, hist.near_reversals) == _replay(n, ANGLE, orders)
+
+
+def test_bin_indices_match_bin_index_at_boundaries():
+    edges = [(i - 10) / 10.0 + 0.05 for i in range(NUM_BINS - 1)]
+    zs = [-1.0, 1.0, -1.5, 1.5, 0.0, -0.0]
+    zs += [math.nextafter(-1.0, -2.0), math.nextafter(1.0, 2.0)]
+    zs += [math.nextafter(-1.0, 0.0), math.nextafter(1.0, 0.0)]
+    for edge in edges:
+        for off in (0.0, 1e-10, -1e-10, 5e-11, -5e-11, 1e-9, -1e-9):
+            zs.append(edge + off)
+        zs += [math.nextafter(edge, -2.0), math.nextafter(edge, 2.0)]
+    zs += bin_centers()
+    assert bin_indices(np.array(zs)).tolist() == [bin_index(z) for z in zs]
+
+
+def test_canonical_histograms_pinned():
+    hist = sweep_correct(9, DELTA_ANGLE)
+    assert hist.counts == CORRECT_9_COUNTS
+    assert (hist.exact_reversals, hist.near_reversals) == (1, 1)
+    hist = sweep_incorrect(9, DELTA_ANGLE)
+    assert hist.counts == INCORRECT_9_COUNTS
+    assert (hist.exact_reversals, hist.near_reversals) == (0, 0)
+    hist = sweep_incorrect(9, DELTA_ANGLE, sample=10000, seed=1)
+    assert hist.counts == INCORRECT_9_SAMPLE_10000_SEED_1_COUNTS
+    assert hist.total_trials == 10000
 
 
 def test_enumerate_full_vector_spot_check():
@@ -132,15 +212,6 @@ def test_sweep_incorrect_small():
     assert hist.near_reversals == 0
 
 
-def test_sweep_threads_match_sequential():
-    seq = sweep_correct(6, ANGLE, threads=1)
-    par = sweep_correct(6, ANGLE, threads=2)
-    assert seq == par
-    seq = sweep_incorrect(4, ANGLE, threads=1)
-    par = sweep_incorrect(4, ANGLE, threads=3)
-    assert seq == par
-
-
 def test_sweep_sampled_mode():
     a = sweep_correct(7, ANGLE, sample=500, seed=3)
     b = sweep_correct(7, ANGLE, sample=500, seed=3)
@@ -153,6 +224,16 @@ def test_sweep_sampled_mode():
 def test_sweep_requires_angle():
     with pytest.raises(ValueError):
         sweep_correct(5, None)
+
+
+def test_sweep_rejects_bad_sizes():
+    for sweep in (sweep_correct, sweep_incorrect):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                sweep(n, ANGLE)
+        for sample in (0, -5):
+            with pytest.raises(ValueError):
+                sweep(4, ANGLE, sample=sample)
 
 
 def test_histogram_serialization():
