@@ -22,7 +22,10 @@ def density_from_bloch(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {w.shape}")
-    r = float(np.linalg.norm(w))
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"Bloch vector components must be finite, got {w.tolist()}")
+    with np.errstate(over="ignore"):  # components near 1e154 square to inf
+        r = float(np.linalg.norm(w))
     if r > BLOCH_RADIUS + _RADIUS_TOL:
         raise ValueError(f"Bloch vector length {r} exceeds 1/2")
     return 0.5 * I2 + w[0] * PAULIS[0] + w[1] * PAULIS[1] + w[2] * PAULIS[2]

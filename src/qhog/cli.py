@@ -29,6 +29,7 @@ from .entanglement import (
     closed_form_concurrences,
     closed_tangle,
     concurrence_table,
+    pair_states,
     tangle_record,
 )
 from .homogenizer import SwapAngle, budget_from_delta, run_trajectory
@@ -65,12 +66,16 @@ def _resolve_angle(args) -> tuple[SwapAngle, float | None]:
     return SwapAngle(budget.eta_max), args.delta
 
 
-def _write(out: str | None, text: str) -> None:
+def _write(out: str | None, text: str, mode: str = "w") -> None:
+    """Write ``text`` to stdout or to the file ``out`` (``mode="a"`` appends)."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        return
+    try:
+        with open(out, mode, encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _summary(payload: dict) -> None:
@@ -79,6 +84,32 @@ def _summary(payload: dict) -> None:
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# amplitudes formatted per write of a streamed JSON amplitude dump
+_DUMP_CHUNK = 1 << 16
+_AMPLITUDES_MARK = "@amplitudes@"
+
+
+def _write_json_with_amplitudes(out: str | None, payload: dict, vec: np.ndarray) -> None:
+    """Write ``_dump_json(payload | {"amplitudes": [[re, im], ...]})`` chunk by chunk.
+
+    The amplitude list is formatted here with ``float.__repr__`` and the
+    indent-2 separators that ``json.dumps`` puts at that depth, so the
+    bytes are those of the one-shot dump without building a Python list
+    per amplitude.
+    """
+    head, tail = _dump_json({**payload, "amplitudes": _AMPLITUDES_MARK}).split(
+        json.dumps(_AMPLITUDES_MARK))
+    sep = "\n    ],\n    [\n      "  # from one [re, im] pair to the next
+    _write(out, head + "[\n    [\n      ")
+    floats = vec.view(np.float64)
+    step = 2 * _DUMP_CHUNK
+    for start in range(0, floats.size, step):
+        reprs = map(float.__repr__, floats[start:start + step].tolist())
+        text = sep.join(map(",\n      ".join, zip(reprs, reprs)))
+        _write(out, text if start == 0 else sep + text, "a")
+    _write(out, "\n    ]\n  ]" + tail, "a")
 
 
 def cmd_homogenize(args) -> int:
@@ -150,28 +181,27 @@ def cmd_simulate(args) -> int:
     system_state = parse_state(args.system)
     if system_state.is_pure(1e-9):
         state = init_pure(parse_ket(args.system), reservoir, args.n, angle).run(order)
-        snapshot = state.to_json_dict()
         rho = state.reduced(0)
     else:
         mixed = run_mixed_system(system_state, reservoir, args.n, angle, order)
-        snapshot = None
+        state = None
         rho = mixed.reduced(0)
     system_bloch = list(QubitState.from_density(rho).w)
     if args.format == "csv":
-        if snapshot is None:
+        if state is None:
             raise SystemExit("CSV amplitude dumps need a pure system state")
         rows = ["basis,re,im"]
-        for idx, (re, im) in enumerate(snapshot["amplitudes"]):
-            rows.append(f"{idx},{re:.17g},{im:.17g}")
+        for idx, z in enumerate(state.vector.tolist()):
+            rows.append(f"{idx},{z.real:.17g},{z.imag:.17g}")
         _write(args.out, "\n".join(rows) + "\n")
+    elif state is None:
+        _write(args.out, _dump_json({"system_bloch": system_bloch, "num_qubits": args.n + 1,
+                                     "eta": angle.eta, "amplitudes": None,
+                                     "log": order or list(range(1, args.n + 1))}))
     else:
-        payload = {"system_bloch": system_bloch}
-        if snapshot is not None:
-            payload.update(snapshot)
-        else:
-            payload.update({"num_qubits": args.n + 1, "eta": angle.eta,
-                            "log": order or list(range(1, args.n + 1)), "amplitudes": None})
-        _write(args.out, _dump_json(payload))
+        _write_json_with_amplitudes(args.out, {"system_bloch": system_bloch,
+                                               "num_qubits": state.num_qubits, "eta": angle.eta,
+                                               "log": list(state.log)}, state.vector)
     _summary({"command": "simulate", "ok": True, "n": args.n, "eta": angle.eta,
               "system_bloch": system_bloch})
     return 0
@@ -184,8 +214,9 @@ def cmd_entangle(args) -> int:
     system = parse_ket(args.system)
     reservoir = parse_ket(args.reservoir)
     state = init_pure(system, reservoir, args.n, angle).run(_parse_order(args.order))
-    pairs = concurrence_table(state)
-    tangles = tangle_record(state)
+    rhos = pair_states(state)
+    pairs = concurrence_table(state, rhos)
+    tangles = tangle_record(state, rhos, pairs)
     # closed forms hold for |1>/|0> inputs collided in the canonical order
     in_regime = (
         np.allclose(system, _KETS["one"], atol=1e-12)

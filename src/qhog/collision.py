@@ -2,7 +2,8 @@
 
 The joint state is a flat vector of 2**(N+1) amplitudes with qubit 0 (the
 system) on the most significant bit.  Collisions apply the partial swap
-between qubit 0 and one reservoir qubit; reduced density matrices come
+between qubit 0 and one reservoir qubit in place, in cache-sized blocks,
+so a whole run evolves one buffer; reduced density matrices come
 straight from the amplitudes without ever forming the global density
 matrix.
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import QubitState
-from .homogenizer import SwapAngle, partial_swap_unitary
+from .homogenizer import SwapAngle
 from .linalg import hermitian_eig, num_qubits_of
 
 MAX_QUBITS_DEFAULT = 22
@@ -38,14 +39,60 @@ def max_qubits() -> int:
     return cap
 
 
-def apply_two_qubit(vec: np.ndarray, num_qubits: int, u4: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Apply a 4x4 unitary to qubits (a, b) of an amplitude vector."""
-    t = vec.reshape([2] * num_qubits)
-    t = np.moveaxis(t, (a, b), (0, 1))
-    rest = t.shape[2:]
-    out = (u4 @ t.reshape(4, -1)).reshape((2, 2) + rest)
-    out = np.moveaxis(out, (0, 1), (a, b))
-    return np.ascontiguousarray(out).reshape(-1)
+# amplitudes per quarter of the state in one step of the collision kernel:
+# the four quarter blocks and their temporaries fit a 1-2 MB L2 cache
+_BLOCK = 1 << 14
+
+
+def _blocks(shape, size):
+    """Index tuples cutting an (A, B, C) array into pieces of at most ``size`` entries."""
+    a, b, c = shape
+    if c >= size:
+        for i in range(a):
+            for j in range(b):
+                for k in range(0, c, size):
+                    yield i, j, slice(k, k + size)
+    elif b * c >= size:
+        step = size // c
+        for i in range(a):
+            for j in range(0, b, step):
+                yield i, slice(j, j + step)
+    else:
+        step = size // (b * c)
+        for i in range(0, a, step):
+            yield (slice(i, i + step),)
+
+
+def apply_two_qubit(
+    vec: np.ndarray, num_qubits: int, angle: SwapAngle, a: int, b: int, inverse: bool = False
+) -> None:
+    """Apply the partial swap P (P^dagger if ``inverse``) to qubits (a, b) of ``vec`` in place.
+
+    P multiplies |00> and |11> by (c + is) and mixes (|01>, |10>) through
+    [[c, is], [is, c]]; the inverse flips the sign of s.  Every product is
+    taken against the real and the imaginary part of P's entries apart and
+    summed once.  That is the arithmetic of OpenBLAS's general zgemm
+    kernel, so the result has the bits of the 4x4 complex matrix product on
+    the regrouped vector that this kernel replaced.
+    """
+    if a == b or not (0 <= a < num_qubits and 0 <= b < num_qubits):
+        raise ValueError(f"need two distinct qubits in 0..{num_qubits - 1}, got ({a}, {b})")
+    if vec.shape != (2**num_qubits,) or not vec.flags.c_contiguous:
+        raise ValueError(f"expected a contiguous vector of 2**{num_qubits} amplitudes")
+    lo, hi = min(a, b), max(a, b)
+    v = vec.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (num_qubits - hi - 1))
+    q00, q01, q10, q11 = v[:, 0, :, 0], v[:, 0, :, 1], v[:, 1, :, 0], v[:, 1, :, 1]
+    c = angle.c
+    i_s = 1j * (-angle.s if inverse else angle.s)
+    for idx in _blocks(q00.shape, _BLOCK):
+        for d in (q00[idx], q11[idx]):
+            tmp = i_s * d
+            d *= c
+            d += tmp
+        x, y = q01[idx], q10[idx]
+        new_x = c * x + i_s * y
+        y[...] = i_s * x + c * y
+        x[...] = new_x
 
 
 def reduced_from_vector(vec: np.ndarray, num_qubits: int, keep) -> np.ndarray:
@@ -82,23 +129,26 @@ class CollisionState:
 
     def collide(self, k: int) -> "CollisionState":
         """Partial swap between the system and reservoir qubit k (1-based)."""
-        if not 1 <= k <= self.n_reservoir:
-            raise ValueError(f"reservoir index {k} out of range 1..{self.n_reservoir}")
-        p = partial_swap_unitary(self.angle)
-        vec = apply_two_qubit(self.vector, self.num_qubits, p, 0, k)
-        return CollisionState(vec, self.angle, self.log + [k])
+        return self.run([k])
 
     def run(self, order=None) -> "CollisionState":
-        """Collide with reservoir qubits in ``order`` (default 1..N)."""
+        """Collide with reservoir qubits in ``order`` (default 1..N).
+
+        The input state is left as it is: its vector is copied once and the
+        copy evolved in place.
+        """
         if order is None:
             order = range(1, self.n_reservoir + 1)
         order = [int(k) for k in order]
         if len(set(order)) != len(order):
             raise ValueError(f"collision order contains repeats: {order}")
-        state = self
         for k in order:
-            state = state.collide(k)
-        return state
+            if not 1 <= k <= self.n_reservoir:
+                raise ValueError(f"reservoir index {k} out of range 1..{self.n_reservoir}")
+        vec = self.vector.copy()
+        for k in order:
+            apply_two_qubit(vec, self.num_qubits, self.angle, 0, k)
+        return CollisionState(vec, self.angle, self.log + order)
 
     def reduced(self, qubits) -> np.ndarray:
         if isinstance(qubits, (int, np.integer)):

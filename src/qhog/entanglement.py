@@ -125,19 +125,46 @@ class TangleRecord:
         ]
 
 
-def concurrence_table(state: CollisionState) -> ConcurrenceTable:
-    """Numeric concurrence of every reduced pair of a simulator state."""
-    entries = {}
-    for j in range(state.num_qubits):
-        for k in range(j + 1, state.num_qubits):
-            entries[(j, k)] = concurrence(state.reduced([j, k]))
-    return ConcurrenceTable(len(state.log), entries)
+# exchanging the two qubits of a pair state swaps the |01> and |10> rows and columns
+_EXCHANGE = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
 
 
-def tangle_record(state: CollisionState) -> TangleRecord:
+def pair_states(state: CollisionState) -> dict[tuple[int, int], np.ndarray]:
+    """Reduced density matrix of every pair (j, k), j < k: one reduction each."""
+    n = state.num_qubits
+    return {(j, k): state.reduced([j, k]) for j in range(n) for k in range(j + 1, n)}
+
+
+def concurrence_table(state: CollisionState, rhos=None) -> ConcurrenceTable:
+    """Numeric concurrence of every reduced pair of a simulator state.
+
+    ``rhos`` are the pair states from :func:`pair_states`, when already at hand.
+    """
+    rhos = pair_states(state) if rhos is None else rhos
+    return ConcurrenceTable(len(state.log), {pair: concurrence(rho) for pair, rho in rhos.items()})
+
+
+def tangle_record(state: CollisionState, rhos=None, table=None) -> TangleRecord:
+    """tau_j and the CKW sum S_j of every qubit, from one reduction per pair.
+
+    ``rhos`` and ``table`` are the pair states and their concurrence table,
+    when already at hand.  S_j adds C(rho_jk)^2 in k order, as
+    :func:`ckw_sum` does; for k < j the pair state is rho_kj with its
+    qubits exchanged, and its concurrence is taken anew, because the
+    numeric concurrence is not symmetric under the exchange to the last bit.
+    """
+    rhos = pair_states(state) if rhos is None else rhos
+    table = concurrence_table(state, rhos) if table is None else table
+    n = state.num_qubits
     entries = {}
-    for j in range(state.num_qubits):
-        entries[j] = (tangle_one_vs_rest(state, j), ckw_sum(state, j))
+    for j in range(n):
+        total = 0.0
+        for k in range(n):
+            if k < j:
+                total += concurrence(rhos[(k, j)][_EXCHANGE]) ** 2
+            elif k > j:
+                total += table.entries[(j, k)] ** 2
+        entries[j] = (tangle_one_vs_rest(state, j), total)
     return TangleRecord(entries)
 
 

@@ -225,6 +225,8 @@ class HomogenizationBudget:
 def budget_from_delta(delta: float) -> HomogenizationBudget:
     if not 0.0 < delta < 2.0:
         raise ValueError(f"delta must lie in (0, 2), got {delta}")
+    if 1.0 - delta / 2.0 == 1.0:
+        raise ValueError(f"delta {delta} is too small: 1 - delta/2 rounds to 1")
     eta_max = math.asin(math.sqrt(delta / 2.0))
     n_delta = math.ceil(math.log(delta / 2.0) / math.log(1.0 - delta / 2.0))
     return HomogenizationBudget(delta, eta_max, n_delta)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import CollisionState, apply_two_qubit, excitation_forward_run
-from .homogenizer import SwapAngle, partial_swap_unitary
+from .homogenizer import SwapAngle
 
 EXACT_REVERSAL_TOL = 1e-9
 NEAR_REVERSAL_TOL = 1e-6
@@ -109,10 +109,9 @@ def unwind(state: CollisionState, chosen_system: int, order) -> UnwindTrial:
     expected = set(range(n)) - {chosen_system}
     if sorted(order) != sorted(expected):
         raise ValueError(f"order {order} is not a permutation of the other qubits")
-    p_inv = partial_swap_unitary(state.angle).conj().T
     vec = state.vector.copy()
     for q in order:
-        vec = apply_two_qubit(vec, n, p_inv, chosen_system, q)
+        apply_two_qubit(vec, n, state.angle, chosen_system, q, inverse=True)
     rho = CollisionState(vec, state.angle, []).reduced(chosen_system)
     z = float((rho[0, 0] - rho[1, 1]).real)
     return UnwindTrial(chosen_system, order, z)

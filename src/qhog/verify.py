@@ -481,10 +481,9 @@ def check_safe_reversibility(rng, quick=False) -> str:
     angle = _random_angle(rng)
     initial = col.init_pure(_random_ket(rng), _random_ket(rng), n, angle)
     forward = initial.run()
-    p_inv = hmg.partial_swap_unitary(angle).conj().T
     vec = forward.vector.copy()
     for k in range(n, 0, -1):
-        vec = col.apply_two_qubit(vec, n + 1, p_inv, 0, k)
+        col.apply_two_qubit(vec, n + 1, angle, 0, k, inverse=True)
     worst = float(np.max(np.abs(vec - initial.vector)))
     _require(worst <= 1e-9, f"exact reverse failed to restore the state ({worst:.3e})")
     return f"max amplitude error {worst:.2e}"
@@ -499,10 +498,9 @@ def check_safe_sector_diagonality(rng, quick=False) -> str:
         order = [int(q) + 1 for q in rng.permutation(n)]
         trial = safe.unwind(forward, 0, order)
         _require(-1.0 - 1e-12 <= trial.z <= 1.0 + 1e-12, f"z out of range: {trial.z}")
-        p_inv = hmg.partial_swap_unitary(angle).conj().T
         vec = forward.vector.copy()
         for q in order:
-            vec = col.apply_two_qubit(vec, n + 1, p_inv, 0, q)
+            col.apply_two_qubit(vec, n + 1, angle, 0, q, inverse=True)
         for j in range(n + 1):
             rho = col.reduced_from_vector(vec, n + 1, [j])
             worst_off = max(worst_off, abs(rho[0, 1]))

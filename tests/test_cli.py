@@ -3,7 +3,10 @@ import math
 
 import pytest
 
+from qhog.bloch import QubitState
 from qhog.cli import main, parse_ket, parse_state
+from qhog.collision import init_pure
+from qhog.homogenizer import SwapAngle
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +122,34 @@ def test_simulate_mixed_system(capsys):
     snap = json.loads(out)
     assert snap["amplitudes"] is None
     assert len(snap["system_bloch"]) == 3
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_simulate_json_amplitudes_match_json_dumps(capsys, tmp_path, monkeypatch, chunk):
+    # small amplitudes print in exponent form and one of them is -0.0
+    argv = ["simulate", "--eta", "0.005", "--n", "3", "--system", "zero",
+            "--reservoir", "0,0.5,0", "--order", "2,3,1", "--format", "json"]
+    if chunk is not None:
+        monkeypatch.setattr("qhog.cli._DUMP_CHUNK", chunk)  # 16 amplitudes in six chunks
+    state = init_pure(parse_ket("zero"), parse_ket("0,0.5,0"), 3, SwapAngle(0.005)).run([2, 3, 1])
+    payload = {"system_bloch": list(QubitState.from_density(state.reduced(0)).w),
+               **state.to_json_dict()}
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert "-0.0" in want and "e-05" in want
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+    path = tmp_path / "amps.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text(encoding="utf-8") == want
+
+
+def test_simulate_mixed_json_matches_json_dumps(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--eta", "0.3", "--n", "2",
+                           "--system", "0.1,0,0", "--format", "json")
+    assert code == 0
+    assert '"amplitudes": null' in out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_simulate_csv_amplitudes(capsys):
@@ -248,7 +279,7 @@ def test_outputs_are_deterministic(capsys):
     assert out1 == out2
 
 
-def test_invalid_values_exit_cleanly(capsys):
+def test_invalid_values_exit_cleanly(capsys, tmp_path):
     code, out, err = run_cli(capsys, "bounds", "--delta", "2.5")
     assert code == 2
     assert err.startswith("error:")
@@ -266,6 +297,13 @@ def test_invalid_values_exit_cleanly(capsys):
             for command in ("safe", "homogenize")
             for eta in ("nan", "inf", "-inf")
         ),
+        ["bounds", "--delta", "1e-300"],
+        ["bounds", "--delta", "5e-324"],
+        ["homogenize", "--delta", "0.2", "--system", "nan,0,0"],
+        ["simulate", "--eta", "0.3", "--n", "3", "--system", "nan,0,0"],
+        ["entangle", "--eta", "0.3", "--n", "3", "--reservoir", "0,inf,0"],
+        ["bounds", "--delta", "0.2", "--out", str(tmp_path / "missing" / "x.json")],
+        ["simulate", "--eta", "0.3", "--n", "3", "--out", str(tmp_path / "missing" / "x.json")],
     ):
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 2, argv

@@ -5,8 +5,10 @@ import pytest
 
 from qhog.bloch import QubitState, bloch_from_ket
 from qhog.collision import (
+    _BLOCK,
     CollisionState,
     ExcitationState,
+    apply_two_qubit,
     excitation_collide,
     excitation_forward_run,
     init_pure,
@@ -55,6 +57,71 @@ def test_qubit_cap_env_override(monkeypatch):
     with pytest.raises(ValueError):
         init_pure(KET0, KET0, 5, ANGLE)
     init_pure(KET0, KET0, 4, ANGLE)
+
+
+def _matmul_oracle(vec, num_qubits, u4, a, b):
+    """The regrouped 4x4 matrix product that apply_two_qubit computes in place."""
+    t = np.moveaxis(vec.reshape([2] * num_qubits), (a, b), (0, 1))
+    out = (u4 @ t.reshape(4, -1)).reshape(t.shape)
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (a, b))).reshape(-1)
+
+
+# quarter sizes 1, 2**2, 2**11, 2**15 and 2**17 amplitudes: a single
+# element, below _BLOCK, and two and eight blocks; the pairs reach every
+# way the kernel cuts a quarter into blocks, with a > b as well as a < b
+@pytest.mark.parametrize("n", [2, 4, 13, 17, 19])
+def test_apply_two_qubit_bitwise_matches_matrix_product(n):
+    rng = np.random.default_rng(n)
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    pairs = {(0, 1), (1, 0), (0, n - 1), (n - 1, 0), (n // 2, n - 1), (n - 1, n // 2 - 1)}
+    assert (2 ** (n - 2) > _BLOCK) == (n >= 17)
+    for eta in (0.1, 0.4636, 1.0, math.pi / 2):
+        angle = SwapAngle(eta)
+        p = partial_swap_unitary(angle)
+        for inverse, u4 in ((False, p), (True, p.conj().T)):
+            for a, b in sorted((a, b) for a, b in pairs if a != b):
+                got = vec.copy()
+                apply_two_qubit(got, n, angle, a, b, inverse=inverse)
+                want = _matmul_oracle(vec, n, u4, a, b)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (a, b, inverse)
+
+
+def test_apply_two_qubit_three_qubits_matches_matrix_product():
+    # OpenBLAS multiplies the 4x2 product of three qubits in a small-matrix
+    # kernel with fused multiply-adds, so only the general kernel's sizes
+    # above are compared bit for bit
+    rng = np.random.default_rng(3)
+    vec = rng.normal(size=8) + 1j * rng.normal(size=8)
+    p = partial_swap_unitary(ANGLE)
+    for a, b in ((0, 1), (2, 0), (1, 2)):
+        got = vec.copy()
+        apply_two_qubit(got, 3, ANGLE, a, b)
+        assert np.allclose(got, _matmul_oracle(vec, 3, p, a, b), rtol=0, atol=1e-15)
+
+
+def test_apply_two_qubit_validation():
+    vec = np.zeros(8, dtype=complex)
+    with pytest.raises(ValueError):
+        apply_two_qubit(vec, 3, ANGLE, 1, 1)
+    with pytest.raises(ValueError):
+        apply_two_qubit(vec, 3, ANGLE, 0, 3)
+    with pytest.raises(ValueError):
+        apply_two_qubit(np.zeros(16, dtype=complex)[::2], 3, ANGLE, 0, 1)
+
+
+def test_run_and_collide_leave_the_input_unchanged():
+    state = init_pure(PLUS, np.array([0.6, 0.8j]), 5, ANGLE).collide(2)
+    before = state.vector.copy()
+    chained = state
+    for k in (3, 1, 5):
+        chained = chained.collide(k)
+    ran = state.run([3, 1, 5])
+    assert np.array_equal(state.vector.view(np.uint64), before.view(np.uint64))
+    assert state.log == [2]
+    assert np.array_equal(ran.vector.view(np.uint64), chained.vector.view(np.uint64))
+    assert ran.log == chained.log == [2, 3, 1, 5]
+    state.run()
+    assert np.array_equal(state.vector.view(np.uint64), before.view(np.uint64))
 
 
 def test_collide_identity_angle():

@@ -11,6 +11,7 @@ from qhog.entanglement import (
     closed_tangle,
     concurrence,
     concurrence_table,
+    pair_states,
     spin_flip_lambdas_reference,
     tangle_one_vs_rest,
     tangle_record,
@@ -231,3 +232,41 @@ def test_table_and_record_serialization():
     # CKW inequality as stored: S never exceeds tau beyond roundoff
     for r in recs:
         assert r["S"] <= r["tau"] + 1e-9
+
+
+def test_pair_path_equals_per_call_definitions():
+    # the per-call definitions the shared pair path replaced: one reduction
+    # per ordered pair, each CKW term measured anew
+    plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
+    reservoir = np.array([0.6, 0.8j], dtype=complex)
+    state = init_pure(plus, reservoir, 6, SwapAngle(0.7)).run([4, 2, 6, 1, 5, 3])
+    n = state.num_qubits
+    old_table = {(j, k): concurrence(state.reduced([j, k]))
+                 for j in range(n) for k in range(j + 1, n)}
+    old_record = {j: (tangle_one_vs_rest(state, j), ckw_sum(state, j)) for j in range(n)}
+    rhos = pair_states(state)
+    table = concurrence_table(state, rhos)
+    assert table.entries == old_table
+    assert concurrence_table(state).entries == old_table
+    assert tangle_record(state, rhos, table).entries == old_record
+    assert tangle_record(state).entries == old_record
+    assert max(old_table.values()) > 0.1
+
+
+def test_pair_path_reduces_each_pair_once(monkeypatch):
+    import qhog.collision as col
+
+    calls = []
+    reduce = col.reduced_from_vector
+
+    def counted(vec, num_qubits, keep):
+        calls.append(tuple(keep))
+        return reduce(vec, num_qubits, keep)
+
+    state = init_pure(KET1, KET0, 5, SwapAngle(0.4)).run()
+    monkeypatch.setattr(col, "reduced_from_vector", counted)
+    rhos = pair_states(state)
+    tangle_record(state, rhos, concurrence_table(state, rhos))
+    pairs = [q for q in calls if len(q) == 2]
+    assert sorted(pairs) == [(j, k) for j in range(6) for k in range(j + 1, 6)]
+    assert sorted(q for q in calls if len(q) == 1) == [(j,) for j in range(6)]
