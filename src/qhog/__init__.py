@@ -7,6 +7,7 @@ from .collision import (
     excitation_collide,
     init_pure,
     run_mixed_system,
+    run_pure,
     to_excitation,
 )
 from .entanglement import (
@@ -62,6 +63,7 @@ __all__ = [
     "init_pure",
     "partial_swap_unitary",
     "run_mixed_system",
+    "run_pure",
     "run_trajectory",
     "step_reservoir",
     "step_system",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .bloch import QubitState, ket_from_bloch
-from .collision import init_pure, run_mixed_system
+from .collision import run_mixed_system, run_pure
 from .entanglement import (
     closed_form_concurrences,
     closed_tangle,
@@ -59,7 +59,7 @@ def _resolve_angle(args) -> tuple[SwapAngle, float | None]:
     has_eta = args.eta is not None
     has_delta = args.delta is not None
     if has_eta == has_delta:
-        raise SystemExit("exactly one of --eta and --delta must be given")
+        raise ValueError("exactly one of --eta and --delta must be given")
     if has_eta:
         return SwapAngle(args.eta), None
     budget = budget_from_delta(args.delta)
@@ -119,7 +119,7 @@ def cmd_homogenize(args) -> int:
     elif delta is not None:
         n = budget_from_delta(delta).n_delta
     else:
-        raise SystemExit("--n is required when the angle is given via --eta")
+        raise ValueError("--n is required when the angle is given via --eta")
     rho0 = parse_state(args.system)
     xi = parse_state(args.reservoir)
     traj = run_trajectory(rho0, xi, angle, n)
@@ -147,7 +147,7 @@ def cmd_homogenize(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.delta is None:
-        raise SystemExit("bounds requires --delta")
+        raise ValueError("bounds requires --delta")
     budget = budget_from_delta(args.delta)
     report = {
         "delta": budget.delta,
@@ -175,21 +175,20 @@ def _parse_order(text: str | None):
 def cmd_simulate(args) -> int:
     angle, _ = _resolve_angle(args)
     if args.n is None:
-        raise SystemExit("simulate requires --n")
+        raise ValueError("simulate requires --n")
     order = _parse_order(args.order)
     reservoir = parse_ket(args.reservoir)
     system_state = parse_state(args.system)
     if system_state.is_pure(1e-9):
-        state = init_pure(parse_ket(args.system), reservoir, args.n, angle).run(order)
+        state = run_pure(parse_ket(args.system), reservoir, args.n, angle, order)
         rho = state.reduced(0)
+    elif args.format == "csv":
+        raise ValueError("CSV amplitude dumps need a pure system state")
     else:
-        mixed = run_mixed_system(system_state, reservoir, args.n, angle, order)
         state = None
-        rho = mixed.reduced(0)
+        rho = run_mixed_system(system_state, reservoir, args.n, angle, [0], order)
     system_bloch = list(QubitState.from_density(rho).w)
     if args.format == "csv":
-        if state is None:
-            raise SystemExit("CSV amplitude dumps need a pure system state")
         rows = ["basis,re,im"]
         for idx, z in enumerate(state.vector.tolist()):
             rows.append(f"{idx},{z.real:.17g},{z.imag:.17g}")
@@ -210,10 +209,12 @@ def cmd_simulate(args) -> int:
 def cmd_entangle(args) -> int:
     angle, _ = _resolve_angle(args)
     if args.n is None:
-        raise SystemExit("entangle requires --n")
+        raise ValueError("entangle requires --n")
+    if args.format == "csv" and args.out is None:
+        raise ValueError("entangle with --format csv needs --out (two files are written)")
     system = parse_ket(args.system)
     reservoir = parse_ket(args.reservoir)
-    state = init_pure(system, reservoir, args.n, angle).run(_parse_order(args.order))
+    state = run_pure(system, reservoir, args.n, angle, _parse_order(args.order))
     rhos = pair_states(state)
     pairs = concurrence_table(state, rhos)
     tangles = tangle_record(state, rhos, pairs)
@@ -249,8 +250,6 @@ def cmd_entangle(args) -> int:
         tangle_rows.append(row)
 
     if args.format == "csv":
-        if args.out is None:
-            raise SystemExit("entangle with --format csv needs --out (two files are written)")
         cols = ["j", "k", "C"] + (["C_closed", "residual"] if closed is not None else [])
         lines = [",".join(cols)]
         for row in pair_rows:
@@ -290,7 +289,7 @@ def cmd_safe(args) -> int:
     reservoir = parse_ket(args.reservoir)
     if not (np.allclose(system, _KETS["one"], atol=1e-12)
             and np.allclose(reservoir, _KETS["zero"], atol=1e-12)):
-        raise SystemExit("the unwinding sweeps are defined for --system one --reservoir zero")
+        raise ValueError("the unwinding sweeps are defined for --system one --reservoir zero")
     sweep = sweep_correct if args.mode == "correct" else sweep_incorrect
     hist = sweep(n, angle, sample=args.sample, seed=args.seed)
     if args.format == "csv":

@@ -2,10 +2,17 @@
 
 The joint state is a flat vector of 2**(N+1) amplitudes with qubit 0 (the
 system) on the most significant bit.  Collisions apply the partial swap
-between qubit 0 and one reservoir qubit in place, in cache-sized blocks,
-so a whole run evolves one buffer; reduced density matrices come
-straight from the amplitudes without ever forming the global density
-matrix.
+between qubit 0 and one reservoir qubit in place, in cache-sized blocks;
+reduced density matrices come straight from the amplitudes without ever
+forming the global density matrix.
+
+The system meets each reservoir qubit once, so before its collision a
+reservoir qubit is still exactly in the reservoir state and the joint
+state is (system + collided qubits) x xi^(uncollided).  ``run_pure``
+therefore grows the state in one buffer of 2**(N+1) amplitudes: it
+inserts each reservoir qubit just before that qubit's collision and
+collides on the live prefix only.  A full run costs about two passes
+over the final vector instead of one per collision.
 
 For the |1> system / |0> reservoir initial condition the dynamics never
 leaves the one-excitation subspace, so the same evolution can be tracked
@@ -95,8 +102,14 @@ def apply_two_qubit(
         x[...] = new_x
 
 
-def reduced_from_vector(vec: np.ndarray, num_qubits: int, keep) -> np.ndarray:
-    """Reduced density matrix of ``keep`` (in the given order) from amplitudes."""
+def reduced_from_vector(vec: np.ndarray, num_qubits: int, keep, scratch=None) -> np.ndarray:
+    """Reduced density matrix of ``keep`` (in the given order) from amplitudes.
+
+    ``scratch`` is an optional pair of C-contiguous complex arrays of shape
+    (2**len(keep), 2**(num_qubits - len(keep))).  They receive the regrouped
+    amplitudes and their conjugate, so that many reductions of one state
+    reuse two buffers instead of allocating two each.
+    """
     keep = [int(q) for q in keep]
     if len(set(keep)) != len(keep):
         raise ValueError(f"duplicate qubit indices {keep}")
@@ -104,8 +117,38 @@ def reduced_from_vector(vec: np.ndarray, num_qubits: int, keep) -> np.ndarray:
         raise ValueError(f"qubit index out of range in {keep}")
     t = vec.reshape([2] * num_qubits)
     t = np.moveaxis(t, keep, range(len(keep)))
-    m = t.reshape(2 ** len(keep), -1)
-    return m @ m.conj().T
+    if scratch is None:
+        m = t.reshape(2 ** len(keep), -1)
+        return m @ m.conj().T
+    m, mc = scratch
+    shape = (2 ** len(keep), 2 ** (num_qubits - len(keep)))
+    if any(a.shape != shape or not a.flags.c_contiguous for a in (m, mc)):
+        raise ValueError(f"scratch arrays must be contiguous with shape {shape}")
+    np.copyto(m.reshape(t.shape), t)
+    np.conjugate(m, out=mc)
+    return m @ mc.T
+
+
+def _checked_ket(name: str, ket) -> np.ndarray:
+    ket = np.asarray(ket, dtype=complex)
+    if ket.shape != (2,):
+        raise ValueError(f"{name} ket must have two components")
+    if abs(np.vdot(ket, ket).real - 1.0) > 1e-9:
+        raise ValueError(f"{name} ket is not normalized")
+    return ket
+
+
+def _checked_order(order, n_reservoir: int) -> list[int]:
+    """``order`` (default 1..N) as a list of distinct reservoir indices."""
+    if order is None:
+        order = range(1, n_reservoir + 1)
+    order = [int(k) for k in order]
+    if len(set(order)) != len(order):
+        raise ValueError(f"collision order contains repeats: {order}")
+    for k in order:
+        if not 1 <= k <= n_reservoir:
+            raise ValueError(f"reservoir index {k} out of range 1..{n_reservoir}")
+    return order
 
 
 @dataclass
@@ -137,23 +180,16 @@ class CollisionState:
         The input state is left as it is: its vector is copied once and the
         copy evolved in place.
         """
-        if order is None:
-            order = range(1, self.n_reservoir + 1)
-        order = [int(k) for k in order]
-        if len(set(order)) != len(order):
-            raise ValueError(f"collision order contains repeats: {order}")
-        for k in order:
-            if not 1 <= k <= self.n_reservoir:
-                raise ValueError(f"reservoir index {k} out of range 1..{self.n_reservoir}")
+        order = _checked_order(order, self.n_reservoir)
         vec = self.vector.copy()
         for k in order:
             apply_two_qubit(vec, self.num_qubits, self.angle, 0, k)
         return CollisionState(vec, self.angle, self.log + order)
 
-    def reduced(self, qubits) -> np.ndarray:
+    def reduced(self, qubits, scratch=None) -> np.ndarray:
         if isinstance(qubits, (int, np.integer)):
             qubits = [qubits]
-        return reduced_from_vector(self.vector, self.num_qubits, qubits)
+        return reduced_from_vector(self.vector, self.num_qubits, qubits, scratch=scratch)
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,65 +200,91 @@ class CollisionState:
         }
 
 
-def init_pure(system, reservoir, n: int, angle: SwapAngle, cap: int | None = None) -> CollisionState:
-    """Product state (system ket) x (reservoir ket)^n with an empty log."""
-    system = np.asarray(system, dtype=complex)
-    reservoir = np.asarray(reservoir, dtype=complex)
-    for name, ket in (("system", system), ("reservoir", reservoir)):
-        if ket.shape != (2,):
-            raise ValueError(f"{name} ket must have two components")
-        if abs(np.vdot(ket, ket).real - 1.0) > 1e-9:
-            raise ValueError(f"{name} ket is not normalized")
+def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray) -> int:
+    """Add qubit ``k`` in state ``ket`` to the state of the ``live`` qubits, in place.
+
+    ``buf[:2**len(live)]`` holds the state of the qubits in ``live``, kept in
+    increasing order; afterwards ``buf[:2**(len(live) + 1)]`` holds it times
+    ``ket`` on qubit ``k``.  Returns the position of ``k`` among the live
+    qubits.  Row r of the old state (the amplitudes sharing one value of the
+    live qubits before ``k``) becomes rows 2r (``k`` = 0) and 2r + 1 (``k`` = 1)
+    of the new one, so the upper half of the rows lands wholly past the old
+    state: halving chunks of rows, from the top down, never overwrite a row
+    before it is read, and no second copy of the state is made.
+    """
+    pos = sum(q < k for q in live)
+    rows, low = 1 << pos, 1 << (len(live) - pos)
+    src = buf[: rows * low].reshape(rows, low)
+    dst = buf[: 2 * rows * low].reshape(rows, 2, low)
+    top = rows
+    while top:
+        bottom = top // 2
+        # in row 0, the |1> half lies past the source and the |0> half overwrites it
+        for bit in (1, 0):
+            np.multiply(src[bottom:top], ket[bit], out=dst[bottom:top, bit])
+        top = bottom
+    live.insert(pos, k)
+    return pos
+
+
+def run_pure(
+    system, reservoir, n: int, angle: SwapAngle, order=None, cap: int | None = None
+) -> CollisionState:
+    """(system ket) x (reservoir ket)^n collided with reservoir qubits in ``order`` (default 1..n).
+
+    Every input is checked before the 2**(n+1)-amplitude buffer is
+    allocated.  The state then grows in that buffer: qubits the order never
+    touches are inserted first, and each other reservoir qubit just before
+    its collision, which then acts on the live prefix only.
+    """
+    system = _checked_ket("system", system)
+    reservoir = _checked_ket("reservoir", reservoir)
     if n < 1:
         raise ValueError("need at least one reservoir qubit")
     cap = max_qubits() if cap is None else cap
     if n + 1 > cap:
         raise ValueError(f"{n + 1} qubits exceeds the configured cap of {cap}")
-    vec = system
-    block = reservoir
-    todo = n
-    # kron-doubling of the reservoir factor
-    while todo > 0:
-        if todo & 1:
-            vec = np.kron(vec, block)
-        todo >>= 1
-        if todo:
-            block = np.kron(block, block)
-    return CollisionState(np.ascontiguousarray(vec), angle, [])
+    order = _checked_order(order, n)
+    buf = np.empty(2 ** (n + 1), dtype=complex)
+    buf[0] = 1.0
+    live = []
+    # the reservoir factors multiply together before the system ket does, as in
+    # np.kron(system, reservoir^(x)u); with a |0> or |1> reservoir the start
+    # state then equals that product bit for bit, signs of zeros included
+    for k in sorted(set(range(1, n + 1)).difference(order)):
+        _insert_qubit(buf, live, k, reservoir)
+    _insert_qubit(buf, live, 0, system)
+    for k in order:
+        pos = _insert_qubit(buf, live, k, reservoir)
+        apply_two_qubit(buf[: 2 ** len(live)], len(live), angle, 0, pos)
+    return CollisionState(buf, angle, order)
 
 
-class MixedRun:
-    """Convex combination of pure runs for a mixed initial system state."""
-
-    def __init__(self, components: list[tuple[float, CollisionState]]):
-        self.components = components
-
-    def reduced(self, qubits) -> np.ndarray:
-        out = None
-        for weight, state in self.components:
-            term = weight * state.reduced(qubits)
-            out = term if out is None else out + term
-        return out
+def init_pure(system, reservoir, n: int, angle: SwapAngle, cap: int | None = None) -> CollisionState:
+    """Product state (system ket) x (reservoir ket)^n with an empty log."""
+    return run_pure(system, reservoir, n, angle, order=[], cap=cap)
 
 
 def run_mixed_system(
-    rho0: QubitState, reservoir, n: int, angle: SwapAngle, order=None
-) -> MixedRun:
-    """Run each eigenvector of a (possibly mixed) system state separately.
+    rho0: QubitState, reservoir, n: int, angle: SwapAngle, qubits, order=None
+) -> np.ndarray:
+    """Reduced density matrix of ``qubits`` after a run from a (possibly mixed) system state.
 
     The global map is linear in the initial system operator, so any
     reduced matrix of the true evolution is the same convex combination
-    of the pure-component results.  The reservoir must be pure.
+    of the pure-component results.  Each eigenvector of the system state
+    runs alone, and its vector is dropped once reduced.  The reservoir must
+    be pure.
     """
     vals, vecs = hermitian_eig(rho0.density())
-    components = []
+    out = None
     for i in range(2):
         weight = float(vals[i])
         if weight < 1e-14:
             continue
-        ket = vecs[:, i]
-        components.append((weight, init_pure(ket, reservoir, n, angle).run(order)))
-    return MixedRun(components)
+        term = weight * run_pure(vecs[:, i], reservoir, n, angle, order).reduced(qubits)
+        out = term if out is None else out + term
+    return out
 
 
 @dataclass(frozen=True)

@@ -130,9 +130,14 @@ _EXCHANGE = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
 
 
 def pair_states(state: CollisionState) -> dict[tuple[int, int], np.ndarray]:
-    """Reduced density matrix of every pair (j, k), j < k: one reduction each."""
+    """Reduced density matrix of every pair (j, k), j < k: one reduction each.
+
+    All reductions share one pair of scratch buffers for the regrouped
+    amplitudes and their conjugate.
+    """
     n = state.num_qubits
-    return {(j, k): state.reduced([j, k]) for j in range(n) for k in range(j + 1, n)}
+    scratch = tuple(np.empty((4, 2 ** (n - 2)), dtype=complex) for _ in range(2))
+    return {(j, k): state.reduced([j, k], scratch) for j in range(n) for k in range(j + 1, n)}
 
 
 def concurrence_table(state: CollisionState, rhos=None) -> ConcurrenceTable:

@@ -374,6 +374,20 @@ def check_collision_uncollided_product(rng, quick=False) -> str:
     return f"max uncollided concurrence {worst:.2e}"
 
 
+def check_collision_grown_product(rng, quick=False) -> str:
+    worst = 0.0
+    for _ in range(5 if quick else 15):
+        n = int(rng.integers(1, 8))
+        sys_ket, res_ket, angle = _random_ket(rng), _random_ket(rng), _random_angle(rng)
+        order = [int(k) + 1 for k in rng.permutation(n)[: rng.integers(0, n + 1)]]
+        grown = col.run_pure(sys_ket, res_ket, n, angle, order)
+        full = col.init_pure(sys_ket, res_ket, n, angle).run(order)
+        _require(grown.log == order, f"run_pure logged {grown.log} for order {order}")
+        worst = max(worst, float(np.max(np.abs(grown.vector - full.vector))))
+    _require(worst <= 1e-12, f"grown state deviates from the full-vector run by {worst:.3e}")
+    return f"max amplitude deviation {worst:.2e}"
+
+
 # ---------------------------------------------------------------------------
 # entanglement
 # ---------------------------------------------------------------------------
@@ -553,6 +567,7 @@ ALL_CHECKS = {
     "collision.sector_conservation": check_collision_sector_conservation,
     "collision.fast_path": check_collision_fast_path,
     "collision.uncollided_product": check_collision_uncollided_product,
+    "collision.grown_product": check_collision_grown_product,
     "entanglement.ckw_saturation": check_entanglement_ckw_saturation,
     "entanglement.closed_form_match": check_entanglement_closed_form_match,
     "entanglement.persistence": check_entanglement_persistence,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,7 +6,7 @@ import pytest
 
 from qhog.bloch import QubitState
 from qhog.cli import main, parse_ket, parse_state
-from qhog.collision import init_pure
+from qhog.collision import run_pure
 from qhog.homogenizer import SwapAngle
 
 
@@ -13,6 +14,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2, argv
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
 def test_parse_state_keywords():
@@ -71,10 +79,8 @@ def test_homogenize_equal_states_stay_put(capsys):
 
 
 def test_homogenize_requires_exactly_one_angle(capsys):
-    with pytest.raises(SystemExit):
-        main(["homogenize", "--n", "3"])
-    with pytest.raises(SystemExit):
-        main(["homogenize", "--n", "3", "--eta", "0.2", "--delta", "0.1"])
+    assert_usage_error(capsys, "homogenize", "--n", "3")
+    assert_usage_error(capsys, "homogenize", "--n", "3", "--eta", "0.2", "--delta", "0.1")
 
 
 def test_bounds_report(capsys):
@@ -122,6 +128,7 @@ def test_simulate_mixed_system(capsys):
     snap = json.loads(out)
     assert snap["amplitudes"] is None
     assert len(snap["system_bloch"]) == 3
+    assert_usage_error(capsys, "simulate", "--eta", "0.3", "--n", "2", "--system", "0,0,0")
 
 
 @pytest.mark.parametrize("chunk", [None, 3])
@@ -131,7 +138,7 @@ def test_simulate_json_amplitudes_match_json_dumps(capsys, tmp_path, monkeypatch
             "--reservoir", "0,0.5,0", "--order", "2,3,1", "--format", "json"]
     if chunk is not None:
         monkeypatch.setattr("qhog.cli._DUMP_CHUNK", chunk)  # 16 amplitudes in six chunks
-    state = init_pure(parse_ket("zero"), parse_ket("0,0.5,0"), 3, SwapAngle(0.005)).run([2, 3, 1])
+    state = run_pure(parse_ket("zero"), parse_ket("0,0.5,0"), 3, SwapAngle(0.005), [2, 3, 1])
     payload = {"system_bloch": list(QubitState.from_density(state.reduced(0)).w),
                **state.to_json_dict()}
     want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -223,8 +230,7 @@ def test_entangle_csv_files(tmp_path, capsys):
     assert len(pairs) == 1 + 6
     tangles = (tmp_path / "ent_tangles.csv").read_text().strip().split("\n")
     assert tangles[0] == "j,tau,S,S_closed,residual"
-    with pytest.raises(SystemExit):
-        main(["entangle", "--eta", "0.3", "--n", "3", "--format", "csv"])
+    assert_usage_error(capsys, "entangle", "--eta", "0.3", "--n", "3", "--format", "csv")
 
 
 def test_safe_correct_small(tmp_path, capsys):
@@ -263,8 +269,7 @@ def test_safe_sample_mode(capsys):
 
 
 def test_safe_rejects_other_states(capsys):
-    with pytest.raises(SystemExit):
-        main(["safe", "--eta", "0.3", "--n", "4", "--system", "plus"])
+    assert_usage_error(capsys, "safe", "--eta", "0.3", "--n", "4", "--system", "plus")
 
 
 def test_outputs_are_deterministic(capsys):
@@ -304,11 +309,41 @@ def test_invalid_values_exit_cleanly(capsys, tmp_path):
         ["entangle", "--eta", "0.3", "--n", "3", "--reservoir", "0,inf,0"],
         ["bounds", "--delta", "0.2", "--out", str(tmp_path / "missing" / "x.json")],
         ["simulate", "--eta", "0.3", "--n", "3", "--out", str(tmp_path / "missing" / "x.json")],
+        *([command, "--eta", "0.3"] for command in ("simulate", "entangle", "homogenize")),
+        ["bounds", "--eta", "0.3"],
     ):
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+# sha256 of the output bytes, captured before the global state was grown
+# one reservoir qubit at a time
+_PINNED = [
+    (["simulate", "--eta", "0.3", "--n", "6", "--system", "plus", "--format", "json"],
+     {"": "c85f7c100bbba2dbd8fcf801e2509d39905bb8364af495715a359adcf16b9811"}),
+    (["entangle", "--delta", "0.2", "--n", "10", "--format", "csv"],
+     {"_pairs.csv": "f47b922aac184ba9fe8e68c29225b5753b651d9692dc9d1e079c0b6b57bea3db",
+      "_tangles.csv": "f4455cf950712e819b0850288d210e3da22e7529d50c577db73bab35995edf72"}),
+    (["simulate", "--delta", "0.2", "--n", "9", "--system", "0.2,0,0.1",
+      "--order", "4,9,1,7,3,8,2,6,5", "--format", "json"],
+     {"": "987148f85e0426f4ef96e187a6cb7a77a2958cc1b027c0af0200d271a873f76f"}),
+]
+
+
+@pytest.mark.parametrize("argv,digests", _PINNED)
+def test_outputs_pinned(capsys, tmp_path, argv, digests):
+    if "" in digests:  # stdout, then the same bytes through --out
+        code, out, _err = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[""]
+    path = tmp_path / "out"
+    code, out, _err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    for suffix, digest in digests.items():
+        data = (tmp_path / f"out{suffix}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, suffix
 
 
 def test_verify_subset(capsys):

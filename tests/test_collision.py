@@ -14,10 +14,11 @@ from qhog.collision import (
     init_pure,
     max_qubits,
     run_mixed_system,
+    run_pure,
     to_excitation,
 )
 from qhog.homogenizer import SwapAngle, closed_form_system, partial_swap_unitary, step_system
-from qhog.linalg import tensor_product
+from qhog.linalg import hermitian_eig, tensor_product
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -57,6 +58,80 @@ def test_qubit_cap_env_override(monkeypatch):
     with pytest.raises(ValueError):
         init_pure(KET0, KET0, 5, ANGLE)
     init_pure(KET0, KET0, 4, ANGLE)
+
+
+def _generic_ket(seed):
+    g = np.random.default_rng(seed).normal(size=(2, 2)) @ [1, 1j]
+    return g / np.linalg.norm(g)
+
+
+def _orders(n):
+    scrambled = [int(k) + 1 for k in np.random.default_rng(n).permutation(n)]
+    return {"full": None, "scrambled": scrambled, "partial": scrambled[: max(1, n // 2)],
+            "empty": []}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 13])
+@pytest.mark.parametrize("reservoir", ["zero", "one"])
+def test_run_pure_bitwise_matches_full_vector_run(n, reservoir):
+    # with a |0> or |1> reservoir every product of the initial state is
+    # exact, so growing the state one qubit at a time gives the same values;
+    # the bits match too unless a system component has a negative real
+    # part, when an exact zero amplitude can carry the other sign
+    res_ket = KET0 if reservoir == "zero" else KET1
+    # the last two are the eigenvectors run_mixed_system takes for (0.2, 0, 0.1)
+    eigvecs = hermitian_eig(QubitState([0.2, 0, 0.1]).density())[1].T
+    systems = (KET0, KET1, PLUS, np.array([0.6, 0.8j]), _generic_ket(n), *eigvecs)
+    for i, sys_ket in enumerate(systems):
+        for label, order in _orders(n).items():
+            got = run_pure(sys_ket, res_ket, n, ANGLE, order)
+            want = init_pure(sys_ket, res_ket, n, ANGLE).run(order)
+            assert got.log == want.log == (list(range(1, n + 1)) if order is None else order)
+            assert np.array_equal(got.vector, want.vector), (i, label)
+            if np.all(sys_ket.real >= 0):
+                assert np.array_equal(got.vector.view(np.uint64), want.vector.view(np.uint64)), (
+                    i, label)
+        reservoir_product = res_ket
+        for _ in range(n - 1):
+            reservoir_product = np.kron(reservoir_product, res_ket)
+        start = init_pure(sys_ket, res_ket, n, ANGLE).vector
+        assert np.array_equal(start.view(np.uint64),
+                              np.kron(sys_ket, reservoir_product).view(np.uint64))
+
+
+def test_run_pure_matches_full_vector_run_for_other_reservoirs():
+    # products of the reservoir components round differently when the
+    # uncollided qubits are multiplied in after some collisions
+    reservoirs = (PLUS, np.array([0.6, 0.8j]), _generic_ket(7))
+    for n in (1, 2, 5, 9):
+        for res_ket in reservoirs:
+            for sys_ket in (KET1, PLUS, _generic_ket(n)):
+                for order in _orders(n).values():
+                    got = run_pure(sys_ket, res_ket, n, ANGLE, order)
+                    want = init_pure(sys_ket, res_ket, n, ANGLE).run(order)
+                    assert np.max(np.abs(got.vector - want.vector)) <= 1e-15
+
+
+def test_run_pure_validates_before_allocating(monkeypatch):
+    allocations = []
+    real_empty = np.empty
+    monkeypatch.setattr(np, "empty", lambda *a, **k: allocations.append(a) or real_empty(*a, **k))
+    for args, kwargs, message in (
+        (([1, 1], KET0, 2), {}, "system ket is not normalized"),
+        ((KET0, [1, 0, 0], 2), {}, "reservoir ket must have two components"),
+        ((KET0, KET0, 0), {}, "need at least one reservoir qubit"),
+        ((KET0, KET0, 4), {"cap": 4}, "5 qubits exceeds the configured cap of 4"),
+        ((KET0, KET0, 3), {"order": [2, 1, 2]}, "collision order contains repeats"),
+        ((KET0, KET0, 3), {"order": [4]}, "reservoir index 4 out of range 1..3"),
+        ((KET0, KET0, 3), {"order": [0]}, "reservoir index 0 out of range 1..3"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_pure(*args, ANGLE, **kwargs)
+    monkeypatch.setenv("QHOG_MAX_QUBITS", "4")
+    with pytest.raises(ValueError, match="5 qubits exceeds the configured cap of 4"):
+        run_pure(KET0, KET0, 4, ANGLE)
+    assert allocations == []
+    assert run_pure(KET0, KET0, 3, ANGLE).num_qubits == 4
 
 
 def _matmul_oracle(vec, num_qubits, u4, a, b):
@@ -179,6 +254,18 @@ def test_reduced_before_any_collision():
     assert np.allclose(state.reduced(1), np.outer(KET0, KET0.conj()), atol=1e-12)
 
 
+def test_reduced_with_scratch_buffers():
+    state = init_pure(PLUS, np.array([0.6, 0.8j]), 5, ANGLE).run([4, 2, 5])
+    scratch = (np.empty((4, 16), dtype=complex), np.empty((4, 16), dtype=complex))
+    for keep in ([0, 1], [3, 1], [5, 0]):
+        want = state.reduced(keep)
+        assert np.array_equal(state.reduced(keep, scratch).view(np.uint64), want.view(np.uint64))
+    for bad in ((scratch[0], np.empty((4, 8), dtype=complex)),
+                (scratch[0], np.empty((16, 4), dtype=complex).T)):
+        with pytest.raises(ValueError):
+            state.reduced([0, 1], bad)
+
+
 def test_reduced_system_matches_closed_form():
     n = 8
     state = init_pure(KET1, KET0, n, ANGLE)
@@ -254,23 +341,24 @@ def test_norm_conserved_along_run():
 
 def test_run_mixed_pure_input_reduces_to_run():
     state = init_pure(KET1, KET0, 4, ANGLE).run()
-    mixed = run_mixed_system(QubitState([0, 0, -0.5]), KET0, 4, ANGLE)
-    assert np.allclose(mixed.reduced(0), state.reduced(0), atol=1e-12)
-    assert np.allclose(mixed.reduced([0, 2]), state.reduced([0, 2]), atol=1e-12)
+    pure = QubitState([0, 0, -0.5])
+    assert np.allclose(run_mixed_system(pure, KET0, 4, ANGLE, 0), state.reduced(0), atol=1e-12)
+    assert np.allclose(run_mixed_system(pure, KET0, 4, ANGLE, [0, 2]), state.reduced([0, 2]),
+                       atol=1e-12)
 
 
 def test_run_mixed_maximally_mixed_is_average():
-    mixed = run_mixed_system(QubitState([0, 0, 0]), KET0, 3, ANGLE)
+    mixed = run_mixed_system(QubitState([0, 0, 0]), KET0, 3, ANGLE, 0)
     up = init_pure(KET0, KET0, 3, ANGLE).run()
     down = init_pure(KET1, KET0, 3, ANGLE).run()
     average = 0.5 * up.reduced(0) + 0.5 * down.reduced(0)
-    assert np.allclose(mixed.reduced(0), average, atol=1e-12)
+    assert np.allclose(mixed, average, atol=1e-12)
 
 
 def test_run_mixed_diagonal_matches_closed_form():
     rho0 = QubitState([0, 0, -0.25])  # diag(1/4, 3/4)
-    mixed = run_mixed_system(rho0, KET0, 3, ANGLE)
-    got = QubitState.from_density(mixed.reduced(0))
+    mixed = run_mixed_system(rho0, KET0, 3, ANGLE, 0)
+    got = QubitState.from_density(mixed)
     want = closed_form_system(rho0, QubitState([0, 0, 0.5]), ANGLE, 3)
     assert np.allclose(got.w, want.w, atol=1e-10)
 

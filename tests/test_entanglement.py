@@ -245,6 +245,8 @@ def test_pair_path_equals_per_call_definitions():
                  for j in range(n) for k in range(j + 1, n)}
     old_record = {j: (tangle_one_vs_rest(state, j), ckw_sum(state, j)) for j in range(n)}
     rhos = pair_states(state)
+    for (j, k), rho in rhos.items():
+        assert np.array_equal(rho.view(np.uint64), state.reduced([j, k]).view(np.uint64))
     table = concurrence_table(state, rhos)
     assert table.entries == old_table
     assert concurrence_table(state).entries == old_table
@@ -259,9 +261,9 @@ def test_pair_path_reduces_each_pair_once(monkeypatch):
     calls = []
     reduce = col.reduced_from_vector
 
-    def counted(vec, num_qubits, keep):
+    def counted(vec, num_qubits, keep, scratch=None):
         calls.append(tuple(keep))
-        return reduce(vec, num_qubits, keep)
+        return reduce(vec, num_qubits, keep, scratch)
 
     state = init_pure(KET1, KET0, 5, SwapAngle(0.4)).run()
     monkeypatch.setattr(col, "reduced_from_vector", counted)
