@@ -25,13 +25,7 @@ import numpy as np
 from . import verify as verify_mod
 from .bloch import QubitState, ket_from_bloch
 from .collision import run_mixed_system, run_pure
-from .entanglement import (
-    closed_form_concurrences,
-    closed_tangle,
-    concurrence_table,
-    pair_states,
-    tangle_record,
-)
+from .entanglement import entanglement_tables, one_zero_start
 from .homogenizer import SwapAngle, budget_from_delta, run_trajectory
 from .safe import sweep_correct, sweep_incorrect
 
@@ -86,9 +80,31 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# amplitudes formatted per write of a streamed JSON amplitude dump
+# amplitudes formatted per write of a streamed amplitude dump
 _DUMP_CHUNK = 1 << 16
 _AMPLITUDES_MARK = "@amplitudes@"
+
+
+def _write_amplitudes(out: str | None, vec: np.ndarray, head: str, rows, sep: str,
+                      tail: str) -> None:
+    """Write ``head``, the rows of ``vec`` joined by ``sep``, and ``tail``, one chunk per write.
+
+    ``rows(start, amps)`` formats the chunk ``amps = vec[start:start + _DUMP_CHUNK]``.
+    """
+    _write(out, head)
+    for start in range(0, vec.size, _DUMP_CHUNK):
+        text = sep.join(rows(start, vec[start:start + _DUMP_CHUNK]))
+        _write(out, text if start == 0 else sep + text, "a")
+    _write(out, tail, "a")
+
+
+def _json_rows(start: int, amps: np.ndarray):
+    reprs = map(float.__repr__, amps.view(np.float64).tolist())
+    return map(",\n      ".join, zip(reprs, reprs))
+
+
+def _csv_rows(start: int, amps: np.ndarray):
+    return (f"{i},{z.real:.17g},{z.imag:.17g}" for i, z in enumerate(amps.tolist(), start))
 
 
 def _write_json_with_amplitudes(out: str | None, payload: dict, vec: np.ndarray) -> None:
@@ -101,15 +117,8 @@ def _write_json_with_amplitudes(out: str | None, payload: dict, vec: np.ndarray)
     """
     head, tail = _dump_json({**payload, "amplitudes": _AMPLITUDES_MARK}).split(
         json.dumps(_AMPLITUDES_MARK))
-    sep = "\n    ],\n    [\n      "  # from one [re, im] pair to the next
-    _write(out, head + "[\n    [\n      ")
-    floats = vec.view(np.float64)
-    step = 2 * _DUMP_CHUNK
-    for start in range(0, floats.size, step):
-        reprs = map(float.__repr__, floats[start:start + step].tolist())
-        text = sep.join(map(",\n      ".join, zip(reprs, reprs)))
-        _write(out, text if start == 0 else sep + text, "a")
-    _write(out, "\n    ]\n  ]" + tail, "a")
+    _write_amplitudes(out, vec, head + "[\n    [\n      ", _json_rows,
+                      "\n    ],\n    [\n      ", "\n    ]\n  ]" + tail)
 
 
 def cmd_homogenize(args) -> int:
@@ -188,19 +197,14 @@ def cmd_simulate(args) -> int:
         state = None
         rho = run_mixed_system(system_state, reservoir, args.n, angle, [0], order)
     system_bloch = list(QubitState.from_density(rho).w)
+    payload = {"system_bloch": system_bloch, "num_qubits": args.n + 1, "eta": angle.eta,
+               "log": order or list(range(1, args.n + 1))}
     if args.format == "csv":
-        rows = ["basis,re,im"]
-        for idx, z in enumerate(state.vector.tolist()):
-            rows.append(f"{idx},{z.real:.17g},{z.imag:.17g}")
-        _write(args.out, "\n".join(rows) + "\n")
+        _write_amplitudes(args.out, state.vector, "basis,re,im\n", _csv_rows, "\n", "\n")
     elif state is None:
-        _write(args.out, _dump_json({"system_bloch": system_bloch, "num_qubits": args.n + 1,
-                                     "eta": angle.eta, "amplitudes": None,
-                                     "log": order or list(range(1, args.n + 1))}))
+        _write(args.out, _dump_json({**payload, "amplitudes": None}))
     else:
-        _write_json_with_amplitudes(args.out, {"system_bloch": system_bloch,
-                                               "num_qubits": state.num_qubits, "eta": angle.eta,
-                                               "log": list(state.log)}, state.vector)
+        _write_json_with_amplitudes(args.out, payload, state.vector)
     _summary({"command": "simulate", "ok": True, "n": args.n, "eta": angle.eta,
               "system_bloch": system_bloch})
     return 0
@@ -215,80 +219,25 @@ def cmd_entangle(args) -> int:
     system = parse_ket(args.system)
     reservoir = parse_ket(args.reservoir)
     state = run_pure(system, reservoir, args.n, angle, _parse_order(args.order))
-    rhos = pair_states(state)
-    pairs = concurrence_table(state, rhos)
-    tangles = tangle_record(state, rhos, pairs)
-    # closed forms hold for |1>/|0> inputs collided in the canonical order
-    in_regime = (
-        np.allclose(system, _KETS["one"], atol=1e-12)
-        and np.allclose(reservoir, _KETS["zero"], atol=1e-12)
-        and state.log == list(range(1, len(state.log) + 1))
-    )
-    closed = closed_form_concurrences(pairs.n, args.n, angle) if in_regime else None
-
-    pair_rows = []
-    max_resid_pairs = 0.0
-    for j, k in pairs.pairs():
-        numeric = pairs.entries[(j, k)]
-        row = {"j": j, "k": k, "C": numeric}
-        if closed is not None:
-            want = closed.entries[(j, k)]
-            row["C_closed"] = want
-            row["residual"] = abs(numeric - want)
-            max_resid_pairs = max(max_resid_pairs, row["residual"])
-        pair_rows.append(row)
-    tangle_rows = []
-    max_resid_tangles = 0.0
-    for j in sorted(tangles.entries):
-        tau, s = tangles.entries[j]
-        row = {"j": j, "tau": tau, "S": s}
-        if closed is not None:
-            want = closed_tangle(j, pairs.n, angle)
-            row["S_closed"] = want
-            row["residual"] = max(abs(tau - want), abs(s - want))
-            max_resid_tangles = max(max_resid_tangles, row["residual"])
-        tangle_rows.append(row)
-
+    pairs, tangles = entanglement_tables(state, system, reservoir)
     if args.format == "csv":
-        cols = ["j", "k", "C"] + (["C_closed", "residual"] if closed is not None else [])
-        lines = [",".join(cols)]
-        for row in pair_rows:
-            lines.append(",".join(_fmt(row[c]) for c in cols))
-        _write(args.out + "_pairs.csv", "\n".join(lines) + "\n")
-        cols = ["j", "tau", "S"] + (["S_closed", "residual"] if closed is not None else [])
-        lines = [",".join(cols)]
-        for row in tangle_rows:
-            lines.append(",".join(_fmt(row[c]) for c in cols))
-        _write(args.out + "_tangles.csv", "\n".join(lines) + "\n")
+        _write(args.out + "_pairs.csv", pairs.to_csv())
+        _write(args.out + "_tangles.csv", tangles.to_csv())
     else:
         _write(args.out, _dump_json({"n": pairs.n, "eta": angle.eta,
-                                     "pairs": pair_rows, "tangles": tangle_rows}))
-    _summary(
-        {
-            "command": "entangle",
-            "ok": True,
-            "n": args.n,
-            "closed_forms": closed is not None,
-            "max_residual_pairs": max_resid_pairs if closed is not None else None,
-            "max_residual_tangles": max_resid_tangles if closed is not None else None,
-        }
-    )
+                                     "pairs": pairs.to_json_records(),
+                                     "tangles": tangles.to_json_records()}))
+    _summary({"command": "entangle", "ok": True, "n": args.n,
+              "closed_forms": pairs.closed is not None,
+              "max_residual_pairs": pairs.max_residual(),
+              "max_residual_tangles": tangles.max_residual()})
     return 0
-
-
-def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.17g}"
 
 
 def cmd_safe(args) -> int:
     angle, _ = _resolve_angle(args)
     n = 9 if args.n is None else args.n
-    system = parse_ket(args.system)
-    reservoir = parse_ket(args.reservoir)
-    if not (np.allclose(system, _KETS["one"], atol=1e-12)
-            and np.allclose(reservoir, _KETS["zero"], atol=1e-12)):
+    if not one_zero_start(parse_ket(args.system), parse_ket(args.reservoir)):
         raise ValueError("the unwinding sweeps are defined for --system one --reservoir zero")
     sweep = sweep_correct if args.mode == "correct" else sweep_incorrect
     hist = sweep(n, angle, sample=args.sample, seed=args.seed)

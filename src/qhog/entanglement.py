@@ -65,11 +65,15 @@ def spin_flip_lambdas_reference(rho) -> np.ndarray:
     return np.sqrt(np.sort(vals)[::-1])
 
 
-def tangle_one_vs_rest(state: CollisionState, j: int) -> float:
-    """Tangle between qubit j and everything else: 4 det of its reduced state."""
-    rho = state.reduced(j)
+def _tangle(rho) -> float:
+    """4 det of a one-qubit reduced state, clipped to [0, 1]."""
     det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
     return float(min(1.0, max(0.0, 4.0 * det)))
+
+
+def tangle_one_vs_rest(state: CollisionState, j: int) -> float:
+    """Tangle between qubit j and everything else: 4 det of its reduced state."""
+    return _tangle(state.reduced(j))
 
 
 def ckw_sum(state: CollisionState, j: int) -> float:
@@ -82,47 +86,66 @@ def ckw_sum(state: CollisionState, j: int) -> float:
     return total
 
 
+def _closed_columns(closed, key, name: str) -> dict:
+    """The columns ``name`` and residual of row ``key``; none without closed forms."""
+    return {} if closed is None else dict(zip((name, "residual"), closed[key]))
+
+
+def _csv(columns: list[str], records: list[dict]) -> str:
+    # '.17g' prints the integer indices j, k as they are
+    lines = [",".join(columns)] + [",".join(f"{r[c]:.17g}" for c in columns) for r in records]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class ConcurrenceTable:
-    """Pairwise concurrences C_jk (j < k, qubit 0 = system) after n collisions."""
+    """Pairwise concurrences C_jk (j < k, qubit 0 = system) after n collisions.
+
+    ``closed`` maps each pair to (C_closed, |C - C_closed|) when the closed
+    forms apply to the run, else is None; both formats then add those columns.
+    """
 
     n: int
     entries: dict[tuple[int, int], float]
-
-    def value(self, j: int, k: int) -> float:
-        return self.entries[(j, k) if j < k else (k, j)]
+    closed: dict[tuple[int, int], tuple[float, float]] | None
 
     def pairs(self):
         return sorted(self.entries)
 
+    def max_residual(self) -> float | None:
+        return None if self.closed is None else max(r for _, r in self.closed.values())
+
     def to_csv(self) -> str:
-        rows = ["j,k,C"]
-        for j, k in self.pairs():
-            rows.append(f"{j},{k},{self.entries[(j, k)]:.17g}")
-        return "\n".join(rows) + "\n"
+        closed = [] if self.closed is None else ["C_closed", "residual"]
+        return _csv(["j", "k", "C", *closed], self.to_json_records())
 
     def to_json_records(self) -> list[dict]:
-        return [{"j": j, "k": k, "C": self.entries[(j, k)]} for j, k in self.pairs()]
+        return [{"j": j, "k": k, "C": self.entries[(j, k)],
+                 **_closed_columns(self.closed, (j, k), "C_closed")} for j, k in self.pairs()]
 
 
 @dataclass(frozen=True)
 class TangleRecord:
-    """Per-qubit one-vs-rest tangle tau_j and CKW pair sum S_j."""
+    """Per-qubit one-vs-rest tangle tau_j and CKW pair sum S_j.
+
+    ``closed`` maps each qubit to (S_closed, max(|tau - S_closed|, |S - S_closed|))
+    when the closed forms apply to the run, else is None; both formats then
+    add those columns.  The closed form is the value of tau_j and of S_j.
+    """
 
     entries: dict[int, tuple[float, float]]
+    closed: dict[int, tuple[float, float]] | None
+
+    def max_residual(self) -> float | None:
+        return None if self.closed is None else max(r for _, r in self.closed.values())
 
     def to_csv(self) -> str:
-        rows = ["j,tau,S"]
-        for j in sorted(self.entries):
-            tau, s = self.entries[j]
-            rows.append(f"{j},{tau:.17g},{s:.17g}")
-        return "\n".join(rows) + "\n"
+        closed = [] if self.closed is None else ["S_closed", "residual"]
+        return _csv(["j", "tau", "S", *closed], self.to_json_records())
 
     def to_json_records(self) -> list[dict]:
-        return [
-            {"j": j, "tau": self.entries[j][0], "S": self.entries[j][1]}
-            for j in sorted(self.entries)
-        ]
+        return [{"j": j, "tau": self.entries[j][0], "S": self.entries[j][1],
+                 **_closed_columns(self.closed, j, "S_closed")} for j in sorted(self.entries)]
 
 
 # exchanging the two qubits of a pair state swaps the |01> and |10> rows and columns
@@ -146,7 +169,9 @@ def concurrence_table(state: CollisionState, rhos=None) -> ConcurrenceTable:
     ``rhos`` are the pair states from :func:`pair_states`, when already at hand.
     """
     rhos = pair_states(state) if rhos is None else rhos
-    return ConcurrenceTable(len(state.log), {pair: concurrence(rho) for pair, rho in rhos.items()})
+    return ConcurrenceTable(
+        len(state.log), {pair: concurrence(rho) for pair, rho in rhos.items()}, None
+    )
 
 
 def tangle_record(state: CollisionState, rhos=None, table=None) -> TangleRecord:
@@ -157,10 +182,12 @@ def tangle_record(state: CollisionState, rhos=None, table=None) -> TangleRecord:
     :func:`ckw_sum` does; for k < j the pair state is rho_kj with its
     qubits exchanged, and its concurrence is taken anew, because the
     numeric concurrence is not symmetric under the exchange to the last bit.
+    The one-qubit reductions for tau_j all share one pair of scratch buffers.
     """
     rhos = pair_states(state) if rhos is None else rhos
     table = concurrence_table(state, rhos) if table is None else table
     n = state.num_qubits
+    scratch = tuple(np.empty((2, 2 ** (n - 1)), dtype=complex) for _ in range(2))
     entries = {}
     for j in range(n):
         total = 0.0
@@ -169,21 +196,42 @@ def tangle_record(state: CollisionState, rhos=None, table=None) -> TangleRecord:
                 total += concurrence(rhos[(k, j)][_EXCHANGE]) ** 2
             elif k > j:
                 total += table.entries[(j, k)] ** 2
-        entries[j] = (tangle_one_vs_rest(state, j), total)
-    return TangleRecord(entries)
+        entries[j] = (_tangle(state.reduced(j, scratch)), total)
+    return TangleRecord(entries, None)
+
+
+def one_zero_start(system, reservoir) -> bool:
+    """Whether the kets are system |1> and reservoir |0> to 1e-12 (a missing ket never is)."""
+    one = np.allclose(np.asarray(system, dtype=complex), [0.0, 1.0], atol=1e-12)
+    return one and np.allclose(np.asarray(reservoir, dtype=complex), [1.0, 0.0], atol=1e-12)
+
+
+def entanglement_tables(
+    state: CollisionState, system, reservoir
+) -> tuple[ConcurrenceTable, TangleRecord]:
+    """Concurrence table and tangle record of a run from the kets ``system`` and ``reservoir``.
+
+    Every pair is reduced once.  For a |1>/|0> start collided in the order
+    1..n, where the closed forms apply, both carry them with their residuals.
+    """
+    rhos = pair_states(state)
+    table = concurrence_table(state, rhos)
+    record = tangle_record(state, rhos, table)
+    n, angle = table.n, state.angle
+    if not (one_zero_start(system, reservoir) and state.log == list(range(1, n + 1))):
+        return table, record
+    want = closed_form_concurrences(n, state.n_reservoir, angle).entries
+    closed = {pair: (want[pair], abs(c - want[pair])) for pair, c in table.entries.items()}
+    tangles = {}
+    for j, (tau, s) in record.entries.items():
+        w = closed_tangle(j, n, angle)
+        tangles[j] = (w, max(abs(tau - w), abs(s - w)))
+    return ConcurrenceTable(n, table.entries, closed), TangleRecord(record.entries, tangles)
 
 
 def _check_regime(system, reservoir) -> None:
     """The closed forms hold only for system |1>, reservoir |0> starts."""
-    if system is None and reservoir is None:
-        return
-    sys_ok = system is not None and np.allclose(
-        np.asarray(system, dtype=complex), [0.0, 1.0], atol=1e-12
-    )
-    res_ok = reservoir is not None and np.allclose(
-        np.asarray(reservoir, dtype=complex), [1.0, 0.0], atol=1e-12
-    )
-    if not (sys_ok and res_ok):
+    if (system is not None or reservoir is not None) and not one_zero_start(system, reservoir):
         raise ValueError(
             "closed-form concurrences are only valid for the system |1>, "
             "reservoir |0> initial condition"
@@ -218,7 +266,7 @@ def closed_form_concurrences(
     for j in range(n_reservoir + 1):
         for k in range(j + 1, n_reservoir + 1):
             entries[(j, k)] = closed_pair_concurrence(j, k, n, angle)
-    return ConcurrenceTable(n, entries)
+    return ConcurrenceTable(n, entries, None)
 
 
 def closed_tangle(j: int, n: int, angle: SwapAngle) -> float:

@@ -94,10 +94,11 @@ def step_system(rho: QubitState, xi: QubitState, angle: SwapAngle) -> QubitState
 
 
 def step_reservoir(rho: QubitState, xi: QubitState, angle: SwapAngle) -> QubitState:
-    """Reservoir qubit after its collision: s^2 rho + c^2 xi + i c s [rho, xi]."""
-    w, t = rho.w, xi.w
-    s2, c2, cs = angle.s**2, angle.c**2, angle.c * angle.s
-    return QubitState(s2 * w + c2 * t - 2.0 * cs * np.cross(w, t))
+    """Reservoir qubit after its collision: s^2 rho + c^2 xi + i c s [rho, xi].
+
+    P commutes with SWAP, so this is the system step with the roles exchanged.
+    """
+    return step_system(xi, rho, angle)
 
 
 @dataclass(frozen=True)

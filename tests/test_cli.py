@@ -159,6 +159,27 @@ def test_simulate_mixed_json_matches_json_dumps(capsys):
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_simulate_csv_amplitudes_match_one_shot_rows(capsys, tmp_path, monkeypatch, chunk):
+    # small amplitudes print in exponent form and one of them is -0.0
+    argv = ["simulate", "--eta", "0.005", "--n", "3", "--system=-0.5,0,0",
+            "--order", "2,3,1", "--format", "csv"]
+    if chunk is not None:
+        monkeypatch.setattr("qhog.cli._DUMP_CHUNK", chunk)  # 16 amplitudes in six chunks
+    state = run_pure(parse_ket("-0.5,0,0"), parse_ket("zero"), 3, SwapAngle(0.005), [2, 3, 1])
+    rows = ["basis,re,im"]  # the one-shot formula the streamed writer replaced
+    for idx, z in enumerate(state.vector.tolist()):
+        rows.append(f"{idx},{z.real:.17g},{z.imag:.17g}")
+    want = "\n".join(rows) + "\n"
+    assert (",-0," in want or ",-0\n" in want) and "e-05" in want
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+    path = tmp_path / "amps.csv"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text(encoding="utf-8") == want
+
+
 def test_simulate_csv_amplitudes(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--eta", "0.3", "--n", "2", "--format", "csv",
@@ -318,32 +339,62 @@ def test_invalid_values_exit_cleanly(capsys, tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
-# sha256 of the output bytes, captured before the global state was grown
-# one reservoir qubit at a time
+# sha256 of the output bytes, and of the stderr summary under "stderr", captured
+# on earlier versions: the first three before the global state was grown one
+# reservoir qubit at a time, the others before the entanglement tables
+# carried their own closed forms and formats
 _PINNED = [
     (["simulate", "--eta", "0.3", "--n", "6", "--system", "plus", "--format", "json"],
      {"": "c85f7c100bbba2dbd8fcf801e2509d39905bb8364af495715a359adcf16b9811"}),
     (["entangle", "--delta", "0.2", "--n", "10", "--format", "csv"],
      {"_pairs.csv": "f47b922aac184ba9fe8e68c29225b5753b651d9692dc9d1e079c0b6b57bea3db",
-      "_tangles.csv": "f4455cf950712e819b0850288d210e3da22e7529d50c577db73bab35995edf72"}),
+      "_tangles.csv": "f4455cf950712e819b0850288d210e3da22e7529d50c577db73bab35995edf72",
+      "stderr": "b1789c793dadefefac2b9cd5bf686023f568bdafdb1cb8731aff3d43531b707c"}),
     (["simulate", "--delta", "0.2", "--n", "9", "--system", "0.2,0,0.1",
       "--order", "4,9,1,7,3,8,2,6,5", "--format", "json"],
      {"": "987148f85e0426f4ef96e187a6cb7a77a2958cc1b027c0af0200d271a873f76f"}),
+    (["homogenize", "--delta", "0.2", "--system", "one", "--reservoir", "zero"],
+     {"": "6d3c90d07d454c733ada9ddf59f8a47be848f67cc2276ab0fb6f3db9214c0714"}),
+    (["bounds", "--delta", "0.02", "--format", "json"],
+     {"": "36bd3cfb917623e1ce28eda5b9619b48b29d2ee2146385a05384ac9d0fe21761"}),
+    (["safe", "--delta", "0.1", "--n", "9", "--mode", "correct"],
+     {"": "96dc8fb122481df14aedbf345e31d366e6933e5bb19589d2dd5a2aa3edea5da5"}),
+    (["safe", "--delta", "0.1", "--n", "9", "--mode", "incorrect", "--sample", "10000",
+      "--seed", "1"],
+     {"": "3e94a94c0b8acc3ce92ff4c793779fa4c53a21a6d148a5d8a5a21397e5f749ce"}),
+    (["entangle", "--delta", "0.2", "--n", "10", "--format", "json"],
+     {"": "5ffd6e1fe44ae378cf239e9e1d68bd27dc89c6c258af15880722bdce065d65a1",
+      "stderr": "b1789c793dadefefac2b9cd5bf686023f568bdafdb1cb8731aff3d43531b707c"}),
+    (["entangle", "--delta", "0.2", "--n", "10", "--order", "4,7,1,10,2,9,3,8,5,6",
+      "--format", "json"],
+     {"": "8bccc3ffb4216f98ac01d38858c4968845856b5c5632a008e1c232f4610cd288",
+      "stderr": "d8b911e9d262b3a28b58abb3f477ea87cd8e36d02f92528dacb1f78ddd458964"}),
+    (["entangle", "--eta", "0.3", "--n", "5", "--system", "plus", "--format", "csv"],
+     {"_pairs.csv": "5af4d7e792d060afd0309aa597bb31730c6a16adc903737726380356e088e658",
+      "_tangles.csv": "536401994bbed67f5489d51a86e52dd6b9c226d9ed38bfac0151d85877f300d0",
+      "stderr": "b885f2b266d1141d3fb8bb1fa036eed89e94ed00143a9210b410a7566741bd1d"}),
 ]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("argv,digests", _PINNED)
 def test_outputs_pinned(capsys, tmp_path, argv, digests):
     if "" in digests:  # stdout, then the same bytes through --out
-        code, out, _err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digests[""]
+        assert _sha256(out) == digests[""]
+        assert "stderr" not in digests or _sha256(err) == digests["stderr"]
     path = tmp_path / "out"
-    code, out, _err = run_cli(capsys, *argv, "--out", str(path))
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and out == ""
+    assert "stderr" not in digests or _sha256(err) == digests["stderr"]
     for suffix, digest in digests.items():
-        data = (tmp_path / f"out{suffix}").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest, suffix
+        if suffix != "stderr":
+            data = (tmp_path / f"out{suffix}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, suffix
 
 
 def test_verify_subset(capsys):

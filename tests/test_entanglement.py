@@ -11,6 +11,7 @@ from qhog.entanglement import (
     closed_tangle,
     concurrence,
     concurrence_table,
+    entanglement_tables,
     pair_states,
     spin_flip_lambdas_reference,
     tangle_one_vs_rest,
@@ -259,16 +260,18 @@ def test_pair_path_reduces_each_pair_once(monkeypatch):
     import qhog.collision as col
 
     calls = []
+    with_scratch = []
     reduce = col.reduced_from_vector
 
     def counted(vec, num_qubits, keep, scratch=None):
         calls.append(tuple(keep))
+        with_scratch.append(scratch is not None)
         return reduce(vec, num_qubits, keep, scratch)
 
     state = init_pure(KET1, KET0, 5, SwapAngle(0.4)).run()
     monkeypatch.setattr(col, "reduced_from_vector", counted)
-    rhos = pair_states(state)
-    tangle_record(state, rhos, concurrence_table(state, rhos))
+    entanglement_tables(state, KET1, KET0)
     pairs = [q for q in calls if len(q) == 2]
     assert sorted(pairs) == [(j, k) for j in range(6) for k in range(j + 1, 6)]
     assert sorted(q for q in calls if len(q) == 1) == [(j,) for j in range(6)]
+    assert all(with_scratch)
