@@ -70,25 +70,33 @@ def _blocks(shape, size):
             yield (slice(i, i + step),)
 
 
+def _quarters(vec: np.ndarray, num_qubits: int, keep) -> np.ndarray:
+    """``vec`` viewed with the bits of the one or two qubits ``keep`` as leading axes.
+
+    Entry [x] or [x, y] (in ``keep`` order) is the (A, B, C) view of the
+    amplitudes with those qubits in |x> or |xy>.
+    """
+    lo, hi = min(keep), max(keep)
+    if len(keep) == 1:
+        return vec.reshape(1 << lo, 2, 1, -1).transpose(1, 0, 2, 3)
+    v = vec.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    return v.transpose((1, 3, 0, 2, 4) if keep[0] < keep[1] else (3, 1, 0, 2, 4))
+
+
 def apply_two_qubit(
     vec: np.ndarray, num_qubits: int, angle: SwapAngle, a: int, b: int, inverse: bool = False
 ) -> None:
     """Apply the partial swap P (P^dagger if ``inverse``) to qubits (a, b) of ``vec`` in place.
 
     P multiplies |00> and |11> by (c + is) and mixes (|01>, |10>) through
-    [[c, is], [is, c]]; the inverse flips the sign of s.  Every product is
-    taken against the real and the imaginary part of P's entries apart and
-    summed once.  That is the arithmetic of OpenBLAS's general zgemm
-    kernel, so the result has the bits of the 4x4 complex matrix product on
-    the regrouped vector that this kernel replaced.
+    [[c, is], [is, c]]; the inverse flips the sign of s.  Every new amplitude
+    is c times an old one plus is times an old one, c and is as complex numbers.
     """
     if a == b or not (0 <= a < num_qubits and 0 <= b < num_qubits):
         raise ValueError(f"need two distinct qubits in 0..{num_qubits - 1}, got ({a}, {b})")
     if vec.shape != (2**num_qubits,) or not vec.flags.c_contiguous:
         raise ValueError(f"expected a contiguous vector of 2**{num_qubits} amplitudes")
-    lo, hi = min(a, b), max(a, b)
-    v = vec.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (num_qubits - hi - 1))
-    q00, q01, q10, q11 = v[:, 0, :, 0], v[:, 0, :, 1], v[:, 1, :, 0], v[:, 1, :, 1]
+    (q00, q01), (q10, q11) = _quarters(vec, num_qubits, (a, b))
     c = angle.c
     i_s = 1j * (-angle.s if inverse else angle.s)
     for idx in _blocks(q00.shape, _BLOCK):
@@ -102,31 +110,33 @@ def apply_two_qubit(
         x[...] = new_x
 
 
-def reduced_from_vector(vec: np.ndarray, num_qubits: int, keep, scratch=None) -> np.ndarray:
-    """Reduced density matrix of ``keep`` (in the given order) from amplitudes.
+def reduced_from_vector(vec: np.ndarray, num_qubits: int, keep) -> np.ndarray:
+    """Reduced density matrix of the one or two qubits ``keep`` (in the given order).
 
-    ``scratch`` is an optional pair of C-contiguous complex arrays of shape
-    (2**len(keep), 2**(num_qubits - len(keep))).  They receive the regrouped
-    amplitudes and their conjugate, so that many reductions of one state
-    reuse two buffers instead of allocating two each.
+    For the amplitudes regrouped as the rows M = X + iY of the kept qubits'
+    basis states, rho = M M^dagger = X X^T + Y Y^T + i (Y X^T - (Y X^T)^T).
+    Block by block, X and Y go side by side into one small buffer and numpy's
+    einsum sums the products without BLAS, so the bits do not depend on the
+    BLAS kernel; the result is exactly Hermitian with a real diagonal.
     """
     keep = [int(q) for q in keep]
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"duplicate qubit indices {keep}")
-    if any(q < 0 or q >= num_qubits for q in keep):
-        raise ValueError(f"qubit index out of range in {keep}")
-    t = vec.reshape([2] * num_qubits)
-    t = np.moveaxis(t, keep, range(len(keep)))
-    if scratch is None:
-        m = t.reshape(2 ** len(keep), -1)
-        return m @ m.conj().T
-    m, mc = scratch
-    shape = (2 ** len(keep), 2 ** (num_qubits - len(keep)))
-    if any(a.shape != shape or not a.flags.c_contiguous for a in (m, mc)):
-        raise ValueError(f"scratch arrays must be contiguous with shape {shape}")
-    np.copyto(m.reshape(t.shape), t)
-    np.conjugate(m, out=mc)
-    return m @ mc.T
+    bad = len(keep) not in (1, 2) or len(set(keep)) != len(keep)
+    if bad or min(keep) < 0 or max(keep) >= num_qubits:
+        raise ValueError(f"need one or two distinct qubits in 0..{num_qubits - 1}, got {keep}")
+    quarters = _quarters(vec, num_qubits, keep)
+    d = 2 ** len(keep)
+    rows = np.empty((d, 2, min(_BLOCK, vec.size // d)))
+    x, y, xy = rows[:, 0], rows[:, 1], rows.reshape(d, -1)
+    re, yx = np.zeros((d, d)), np.zeros((d, d))
+    for idx in _blocks(quarters.shape[-3:], _BLOCK):
+        part = quarters[(slice(None),) * len(keep) + idx]
+        np.copyto(x.reshape(part.shape), part.real)
+        np.copyto(y.reshape(part.shape), part.imag)
+        re += np.einsum("ik,jk->ij", xy, xy)
+        yx += np.einsum("ik,jk->ij", y, x)
+    rho = np.empty((d, d), dtype=complex)
+    rho.real, rho.imag = re, yx - yx.T
+    return rho
 
 
 def _checked_ket(name: str, ket) -> np.ndarray:
@@ -167,9 +177,6 @@ class CollisionState:
     def n_reservoir(self) -> int:
         return self.num_qubits - 1
 
-    def copy(self) -> "CollisionState":
-        return CollisionState(self.vector.copy(), self.angle, list(self.log))
-
     def collide(self, k: int) -> "CollisionState":
         """Partial swap between the system and reservoir qubit k (1-based)."""
         return self.run([k])
@@ -186,10 +193,10 @@ class CollisionState:
             apply_two_qubit(vec, self.num_qubits, self.angle, 0, k)
         return CollisionState(vec, self.angle, self.log + order)
 
-    def reduced(self, qubits, scratch=None) -> np.ndarray:
+    def reduced(self, qubits) -> np.ndarray:
         if isinstance(qubits, (int, np.integer)):
             qubits = [qubits]
-        return reduced_from_vector(self.vector, self.num_qubits, qubits, scratch=scratch)
+        return reduced_from_vector(self.vector, self.num_qubits, qubits)
 
     def to_json_dict(self) -> dict:
         return {

@@ -153,14 +153,9 @@ _EXCHANGE = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
 
 
 def pair_states(state: CollisionState) -> dict[tuple[int, int], np.ndarray]:
-    """Reduced density matrix of every pair (j, k), j < k: one reduction each.
-
-    All reductions share one pair of scratch buffers for the regrouped
-    amplitudes and their conjugate.
-    """
+    """Reduced density matrix of every pair (j, k), j < k: one reduction each."""
     n = state.num_qubits
-    scratch = tuple(np.empty((4, 2 ** (n - 2)), dtype=complex) for _ in range(2))
-    return {(j, k): state.reduced([j, k], scratch) for j in range(n) for k in range(j + 1, n)}
+    return {(j, k): state.reduced([j, k]) for j in range(n) for k in range(j + 1, n)}
 
 
 def concurrence_table(state: CollisionState, rhos=None) -> ConcurrenceTable:
@@ -182,12 +177,10 @@ def tangle_record(state: CollisionState, rhos=None, table=None) -> TangleRecord:
     :func:`ckw_sum` does; for k < j the pair state is rho_kj with its
     qubits exchanged, and its concurrence is taken anew, because the
     numeric concurrence is not symmetric under the exchange to the last bit.
-    The one-qubit reductions for tau_j all share one pair of scratch buffers.
     """
     rhos = pair_states(state) if rhos is None else rhos
     table = concurrence_table(state, rhos) if table is None else table
     n = state.num_qubits
-    scratch = tuple(np.empty((2, 2 ** (n - 1)), dtype=complex) for _ in range(2))
     entries = {}
     for j in range(n):
         total = 0.0
@@ -196,7 +189,7 @@ def tangle_record(state: CollisionState, rhos=None, table=None) -> TangleRecord:
                 total += concurrence(rhos[(k, j)][_EXCHANGE]) ** 2
             elif k > j:
                 total += table.entries[(j, k)] ** 2
-        entries[j] = (_tangle(state.reduced(j, scratch)), total)
+        entries[j] = (_tangle(state.reduced(j)), total)
     return TangleRecord(entries, None)
 
 

@@ -1,9 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qhog
 from qhog.bloch import QubitState
 from qhog.cli import main, parse_ket, parse_state
 from qhog.collision import run_pure
@@ -133,16 +139,18 @@ def test_simulate_mixed_system(capsys):
 
 @pytest.mark.parametrize("chunk", [None, 3])
 def test_simulate_json_amplitudes_match_json_dumps(capsys, tmp_path, monkeypatch, chunk):
-    # small amplitudes print in exponent form and one of them is -0.0
-    argv = ["simulate", "--eta", "0.005", "--n", "3", "--system", "zero",
-            "--reservoir", "0,0.5,0", "--order", "2,3,1", "--format", "json"]
+    # small amplitudes print in exponent form and some components are exactly -0.0
+    argv = ["simulate", "--eta", "0.005", "--n", "3", "--system=-0.5,0,0",
+            "--reservoir", "zero", "--order", "2,3,1", "--format", "json"]
     if chunk is not None:
         monkeypatch.setattr("qhog.cli._DUMP_CHUNK", chunk)  # 16 amplitudes in six chunks
-    state = run_pure(parse_ket("zero"), parse_ket("0,0.5,0"), 3, SwapAngle(0.005), [2, 3, 1])
+    state = run_pure(parse_ket("-0.5,0,0"), parse_ket("zero"), 3, SwapAngle(0.005), [2, 3, 1])
     payload = {"system_bloch": list(QubitState.from_density(state.reduced(0)).w),
                **state.to_json_dict()}
+    parts = [x for z in state.vector.tolist() for x in (z.real, z.imag)]
+    assert any(x == 0 and math.copysign(1.0, x) < 0 for x in parts)
     want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert "-0.0" in want and "e-05" in want
+    assert "-0.0," in want and "e-05" in want
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == want
     path = tmp_path / "amps.json"
@@ -348,11 +356,11 @@ _PINNED = [
      {"": "c85f7c100bbba2dbd8fcf801e2509d39905bb8364af495715a359adcf16b9811"}),
     (["entangle", "--delta", "0.2", "--n", "10", "--format", "csv"],
      {"_pairs.csv": "f47b922aac184ba9fe8e68c29225b5753b651d9692dc9d1e079c0b6b57bea3db",
-      "_tangles.csv": "f4455cf950712e819b0850288d210e3da22e7529d50c577db73bab35995edf72",
+      "_tangles.csv": "423ff79edbc4774cfbf6a92f3e05baa4d53085475c16aab69c79d90da7bd4e8d",
       "stderr": "b1789c793dadefefac2b9cd5bf686023f568bdafdb1cb8731aff3d43531b707c"}),
     (["simulate", "--delta", "0.2", "--n", "9", "--system", "0.2,0,0.1",
       "--order", "4,9,1,7,3,8,2,6,5", "--format", "json"],
-     {"": "987148f85e0426f4ef96e187a6cb7a77a2958cc1b027c0af0200d271a873f76f"}),
+     {"": "136b5a1fc4766b56661e72e4f85c62f28d6f8033dc8c6be40266dd5dc6961ea1"}),
     (["homogenize", "--delta", "0.2", "--system", "one", "--reservoir", "zero"],
      {"": "6d3c90d07d454c733ada9ddf59f8a47be848f67cc2276ab0fb6f3db9214c0714"}),
     (["bounds", "--delta", "0.02", "--format", "json"],
@@ -363,15 +371,15 @@ _PINNED = [
       "--seed", "1"],
      {"": "3e94a94c0b8acc3ce92ff4c793779fa4c53a21a6d148a5d8a5a21397e5f749ce"}),
     (["entangle", "--delta", "0.2", "--n", "10", "--format", "json"],
-     {"": "5ffd6e1fe44ae378cf239e9e1d68bd27dc89c6c258af15880722bdce065d65a1",
+     {"": "04be3955ea7cbc6aff125a9647f11212a546d9c601301ea4ba8b187d8dd90aab",
       "stderr": "b1789c793dadefefac2b9cd5bf686023f568bdafdb1cb8731aff3d43531b707c"}),
     (["entangle", "--delta", "0.2", "--n", "10", "--order", "4,7,1,10,2,9,3,8,5,6",
       "--format", "json"],
-     {"": "8bccc3ffb4216f98ac01d38858c4968845856b5c5632a008e1c232f4610cd288",
+     {"": "2e3918a11b0e9a69a3136960ff9d0c5be42287b4002dc0e5a89d124769247830",
       "stderr": "d8b911e9d262b3a28b58abb3f477ea87cd8e36d02f92528dacb1f78ddd458964"}),
     (["entangle", "--eta", "0.3", "--n", "5", "--system", "plus", "--format", "csv"],
-     {"_pairs.csv": "5af4d7e792d060afd0309aa597bb31730c6a16adc903737726380356e088e658",
-      "_tangles.csv": "536401994bbed67f5489d51a86e52dd6b9c226d9ed38bfac0151d85877f300d0",
+     {"_pairs.csv": "8fd6a3979b16760360d6880ebe9abcb290ec2b15da6e84379471bf1aa82f11ba",
+      "_tangles.csv": "4b53db2b4e1688d94479381f806946db1dc4d5e66b1269c24f0bdaedcf538b38",
       "stderr": "b885f2b266d1141d3fb8bb1fa036eed89e94ed00143a9210b410a7566741bd1d"}),
 ]
 
@@ -395,6 +403,40 @@ def test_outputs_pinned(capsys, tmp_path, argv, digests):
         if suffix != "stderr":
             data = (tmp_path / f"out{suffix}").read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, suffix
+
+
+def _avx512_groups() -> str:
+    """The AVX-512 groups that this numpy dispatches to and this CPU has.
+
+    Turning off only these keeps numpy from warning about the setting.
+    """
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return " ".join(f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+                    if f in __cpu_dispatch__ and __cpu_features__.get(f))
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the kernel settings name x86-64 CPUs")
+@pytest.mark.parametrize("coretype,no_avx512", [("Haswell", True), ("Zen", False)])
+def test_outputs_pinned_on_other_cpu_kernels(tmp_path, coretype, no_avx512):
+    # the README's entangle line and the mixed simulate reduce pair and
+    # one-qubit states; their bytes must not depend on the kernel the CPU gets
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=path)
+    if no_avx512:
+        env["NPY_DISABLE_CPU_FEATURES"] = _avx512_groups()
+    for argv, digests in (_PINNED[1], _PINNED[2]):
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "qhog", *argv, "--out", str(out)],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stdout == b"", proc.stderr
+        assert "stderr" not in digests or _sha256(proc.stderr.decode()) == digests["stderr"]
+        for suffix, digest in digests.items():
+            if suffix != "stderr":
+                data = (tmp_path / f"out{suffix}").read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest, (argv, suffix)
 
 
 def test_verify_subset(capsys):

@@ -13,6 +13,7 @@ from qhog.collision import (
     excitation_forward_run,
     init_pure,
     max_qubits,
+    reduced_from_vector,
     run_mixed_system,
     run_pure,
     to_excitation,
@@ -134,17 +135,19 @@ def test_run_pure_validates_before_allocating(monkeypatch):
     assert run_pure(KET0, KET0, 3, ANGLE).num_qubits == 4
 
 
-def _matmul_oracle(vec, num_qubits, u4, a, b):
-    """The regrouped 4x4 matrix product that apply_two_qubit computes in place."""
-    t = np.moveaxis(vec.reshape([2] * num_qubits), (a, b), (0, 1))
-    out = (u4 @ t.reshape(4, -1)).reshape(t.shape)
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (a, b))).reshape(-1)
+def _elementwise_oracle(vec, num_qubits, angle, a, b, inverse):
+    """apply_two_qubit's arithmetic on the regrouped rows |00>, |01>, |10>, |11> of (a, b)."""
+    t = np.moveaxis(vec.reshape([2] * num_qubits), (a, b), (0, 1)).reshape(4, -1)
+    c, i_s = angle.c, 1j * (-angle.s if inverse else angle.s)
+    out = np.stack([t[0] * c + i_s * t[0], c * t[1] + i_s * t[2],
+                    i_s * t[1] + c * t[2], t[3] * c + i_s * t[3]])
+    return np.moveaxis(out.reshape((2,) * num_qubits), (0, 1), (a, b)).reshape(-1)
 
 
-# quarter sizes 1, 2**2, 2**11, 2**15 and 2**17 amplitudes: a single
+# quarter sizes 1, 2, 2**2, 2**11, 2**15 and 2**17 amplitudes: a single
 # element, below _BLOCK, and two and eight blocks; the pairs reach every
 # way the kernel cuts a quarter into blocks, with a > b as well as a < b
-@pytest.mark.parametrize("n", [2, 4, 13, 17, 19])
+@pytest.mark.parametrize("n", [2, 3, 4, 13, 17, 19])
 def test_apply_two_qubit_bitwise_matches_matrix_product(n):
     rng = np.random.default_rng(n)
     vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -157,21 +160,11 @@ def test_apply_two_qubit_bitwise_matches_matrix_product(n):
             for a, b in sorted((a, b) for a, b in pairs if a != b):
                 got = vec.copy()
                 apply_two_qubit(got, n, angle, a, b, inverse=inverse)
-                want = _matmul_oracle(vec, n, u4, a, b)
+                want = _elementwise_oracle(vec, n, angle, a, b, inverse)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (a, b, inverse)
-
-
-def test_apply_two_qubit_three_qubits_matches_matrix_product():
-    # OpenBLAS multiplies the 4x2 product of three qubits in a small-matrix
-    # kernel with fused multiply-adds, so only the general kernel's sizes
-    # above are compared bit for bit
-    rng = np.random.default_rng(3)
-    vec = rng.normal(size=8) + 1j * rng.normal(size=8)
-    p = partial_swap_unitary(ANGLE)
-    for a, b in ((0, 1), (2, 0), (1, 2)):
-        got = vec.copy()
-        apply_two_qubit(got, 3, ANGLE, a, b)
-        assert np.allclose(got, _matmul_oracle(vec, 3, p, a, b), rtol=0, atol=1e-15)
+                t = np.moveaxis(vec.reshape([2] * n), (a, b), (0, 1)).reshape(4, -1)
+                product = np.moveaxis((u4 @ t).reshape((2,) * n), (0, 1), (a, b)).reshape(-1)
+                assert np.allclose(got, product, rtol=0, atol=1e-14)
 
 
 def test_apply_two_qubit_validation():
@@ -254,16 +247,36 @@ def test_reduced_before_any_collision():
     assert np.allclose(state.reduced(1), np.outer(KET0, KET0.conj()), atol=1e-12)
 
 
-def test_reduced_with_scratch_buffers():
-    state = init_pure(PLUS, np.array([0.6, 0.8j]), 5, ANGLE).run([4, 2, 5])
-    scratch = (np.empty((4, 16), dtype=complex), np.empty((4, 16), dtype=complex))
-    for keep in ([0, 1], [3, 1], [5, 0]):
-        want = state.reduced(keep)
-        assert np.array_equal(state.reduced(keep, scratch).view(np.uint64), want.view(np.uint64))
-    for bad in ((scratch[0], np.empty((4, 8), dtype=complex)),
-                (scratch[0], np.empty((16, 4), dtype=complex).T)):
-        with pytest.raises(ValueError):
-            state.reduced([0, 1], bad)
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_reduced_from_vector_matches_matrix_product():
+    # n = 2..17 reaches every way _blocks cuts a half or a quarter of the state
+    rng = np.random.default_rng(17)
+    for n in range(2, 18):
+        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        vec /= np.linalg.norm(vec)
+        mid = n // 2
+        keeps = [[0], [mid], [n - 1], [0, 1], [1, 0], [0, n - 1], [n - 1, 0],
+                 [n - 2, n - 1], [n - 1, n - 2], [mid - 1, mid], [mid, mid - 1]]
+        for keep in keeps:
+            if len(set(keep)) != len(keep):
+                continue
+            got = reduced_from_vector(vec, n, keep)
+            t = np.moveaxis(vec.reshape([2] * n), keep, range(len(keep)))
+            m = t.reshape(2 ** len(keep), -1)
+            assert np.max(np.abs(got - m @ m.conj().T)) <= 1e-14, (n, keep)
+            iu = np.triu_indices(len(got), 1)
+            assert np.array_equal(_bits(got.real), _bits(got.real.T)), (n, keep)
+            assert np.array_equal(_bits(got.imag[iu]), _bits(-got.imag.T[iu])), (n, keep)
+            assert not _bits(np.diag(got).imag).any(), (n, keep)
+    with pytest.raises(ValueError, match="one or two distinct qubits"):
+        reduced_from_vector(vec, 17, [0, 1, 2])
+    with pytest.raises(ValueError, match="one or two distinct qubits"):
+        reduced_from_vector(vec, 17, [3, 3])
+    with pytest.raises(ValueError, match="one or two distinct qubits"):
+        reduced_from_vector(vec, 17, [0, 17])
 
 
 def test_reduced_system_matches_closed_form():
