@@ -17,8 +17,8 @@ BLOCH_RADIUS = 0.5
 _RADIUS_TOL = 1e-12
 
 
-def density_from_bloch(w) -> np.ndarray:
-    """Density matrix I/2 + w.sigma for a Bloch vector with |w| <= 1/2."""
+def _checked_bloch(w) -> np.ndarray:
+    """``w`` as a float array, checked to be a finite 3-vector of length at most 1/2."""
     w = np.asarray(w, dtype=float)
     if w.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {w.shape}")
@@ -28,6 +28,12 @@ def density_from_bloch(w) -> np.ndarray:
         r = float(np.linalg.norm(w))
     if r > BLOCH_RADIUS + _RADIUS_TOL:
         raise ValueError(f"Bloch vector length {r} exceeds 1/2")
+    return w
+
+
+def density_from_bloch(w) -> np.ndarray:
+    """Density matrix I/2 + w.sigma for a Bloch vector with |w| <= 1/2."""
+    w = _checked_bloch(w)
     return 0.5 * I2 + w[0] * PAULIS[0] + w[1] * PAULIS[1] + w[2] * PAULIS[2]
 
 
@@ -52,8 +58,7 @@ class QubitState:
     __slots__ = ("w",)
 
     def __init__(self, w):
-        w = np.asarray(w, dtype=float).copy()
-        density_from_bloch(w)  # validates shape and radius
+        w = _checked_bloch(np.array(w, dtype=float))
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
 

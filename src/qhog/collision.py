@@ -234,9 +234,7 @@ def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray) -> 
     return pos
 
 
-def run_pure(
-    system, reservoir, n: int, angle: SwapAngle, order=None, cap: int | None = None
-) -> CollisionState:
+def run_pure(system, reservoir, n: int, angle: SwapAngle, order=None) -> CollisionState:
     """(system ket) x (reservoir ket)^n collided with reservoir qubits in ``order`` (default 1..n).
 
     Every input is checked before the 2**(n+1)-amplitude buffer is
@@ -248,7 +246,7 @@ def run_pure(
     reservoir = _checked_ket("reservoir", reservoir)
     if n < 1:
         raise ValueError("need at least one reservoir qubit")
-    cap = max_qubits() if cap is None else cap
+    cap = max_qubits()
     if n + 1 > cap:
         raise ValueError(f"{n + 1} qubits exceeds the configured cap of {cap}")
     order = _checked_order(order, n)
@@ -267,9 +265,9 @@ def run_pure(
     return CollisionState(buf, angle, order)
 
 
-def init_pure(system, reservoir, n: int, angle: SwapAngle, cap: int | None = None) -> CollisionState:
+def init_pure(system, reservoir, n: int, angle: SwapAngle) -> CollisionState:
     """Product state (system ket) x (reservoir ket)^n with an empty log."""
-    return run_pure(system, reservoir, n, angle, order=[], cap=cap)
+    return run_pure(system, reservoir, n, angle, order=[])
 
 
 def run_mixed_system(
@@ -300,29 +298,12 @@ class ExcitationState:
 
     amplitudes: np.ndarray
 
-    @property
-    def num_qubits(self) -> int:
-        return self.amplitudes.shape[0]
-
     @classmethod
     def initial(cls, num_qubits: int) -> "ExcitationState":
         """|1> on the system qubit, |0> everywhere else."""
         amps = np.zeros(num_qubits, dtype=complex)
         amps[0] = 1.0
         return cls(amps)
-
-    def z_of(self, j: int) -> float:
-        """sigma_z expectation of qubit j; the reduced state is diagonal here."""
-        p1 = abs(self.amplitudes[j]) ** 2
-        return 1.0 - 2.0 * p1
-
-    def to_vector(self) -> np.ndarray:
-        """Embed back into the full 2**n amplitude vector."""
-        n = self.num_qubits
-        vec = np.zeros(2**n, dtype=complex)
-        for j, a in enumerate(self.amplitudes):
-            vec[1 << (n - 1 - j)] = a
-        return vec
 
 
 def to_excitation(state: CollisionState, tol: float = 1e-12) -> ExcitationState:
@@ -349,8 +330,8 @@ def excitation_collide(
     partial swap acting on its |00> component; the inverse collision
     flips the sign of s.
     """
-    if not 1 <= k < es.num_qubits:
-        raise ValueError(f"slot {k} out of range 1..{es.num_qubits - 1}")
+    if not 1 <= k < es.amplitudes.size:
+        raise ValueError(f"slot {k} out of range 1..{es.amplitudes.size - 1}")
     c = angle.c
     s = -angle.s if inverse else angle.s
     amps = es.amplitudes * complex(c, s)

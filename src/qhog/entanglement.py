@@ -194,7 +194,7 @@ def tangle_record(state: CollisionState, rhos=None, table=None) -> TangleRecord:
 
 
 def one_zero_start(system, reservoir) -> bool:
-    """Whether the kets are system |1> and reservoir |0> to 1e-12 (a missing ket never is)."""
+    """Whether the kets are system |1> and reservoir |0> to 1e-12."""
     one = np.allclose(np.asarray(system, dtype=complex), [0.0, 1.0], atol=1e-12)
     return one and np.allclose(np.asarray(reservoir, dtype=complex), [1.0, 0.0], atol=1e-12)
 
@@ -222,15 +222,6 @@ def entanglement_tables(
     return ConcurrenceTable(n, table.entries, closed), TangleRecord(record.entries, tangles)
 
 
-def _check_regime(system, reservoir) -> None:
-    """The closed forms hold only for system |1>, reservoir |0> starts."""
-    if (system is not None or reservoir is not None) and not one_zero_start(system, reservoir):
-        raise ValueError(
-            "closed-form concurrences are only valid for the system |1>, "
-            "reservoir |0> initial condition"
-        )
-
-
 def closed_pair_concurrence(j: int, k: int, n: int, angle: SwapAngle) -> float:
     """Closed-form C_jk after n collisions for the |1>/|0> initial condition."""
     if not 0 <= j < k:
@@ -243,18 +234,14 @@ def closed_pair_concurrence(j: int, k: int, n: int, angle: SwapAngle) -> float:
     return 2.0 * s**2 * c ** (j + k - 2)
 
 
-def closed_form_concurrences(
-    n: int, n_reservoir: int, angle: SwapAngle, system=None, reservoir=None
-) -> ConcurrenceTable:
+def closed_form_concurrences(n: int, n_reservoir: int, angle: SwapAngle) -> ConcurrenceTable:
     """Full closed-form table for all pairs 0 <= j < k <= N after n collisions.
 
-    If explicit initial kets are supplied they are validated against the
-    |1>/|0> regime the formulas were derived for; anything else raises
-    rather than extrapolating.
+    The forms hold for the |1>/|0> start only; :func:`entanglement_tables`
+    applies them to a run after checking that with :func:`one_zero_start`.
     """
     if not 0 <= n <= n_reservoir:
         raise ValueError(f"collision count {n} out of range 0..{n_reservoir}")
-    _check_regime(system, reservoir)
     entries = {}
     for j in range(n_reservoir + 1):
         for k in range(j + 1, n_reservoir + 1):

@@ -39,13 +39,6 @@ def is_unitary(m, tol: float = 1e-10) -> bool:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))) <= tol
 
 
-def is_psd(m, tol: float = 1e-10) -> bool:
-    if not is_hermitian(m, tol):
-        return False
-    vals, _ = hermitian_eig(m, tol)
-    return float(vals[-1]) >= -tol
-
-
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product with the first factor on the more significant qubits."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import CollisionState, apply_two_qubit, excitation_forward_run
+from .collision import (CollisionState, ExcitationState, apply_two_qubit, excitation_collide,
+                        excitation_forward_run)
 from .homogenizer import SwapAngle
 
 EXACT_REVERSAL_TOL = 1e-9
@@ -118,16 +119,18 @@ def unwind(state: CollisionState, chosen_system: int, order) -> UnwindTrial:
 
 
 def unwind_z_excitation(amplitudes, chosen: int, order, angle: SwapAngle) -> float:
-    """Replay one unwinding inside the excitation sector; returns z of ``chosen``."""
-    c, s = angle.c, angle.s
-    amps = np.asarray(amplitudes, dtype=complex).copy()
-    spectator = complex(c, -s)
+    """Replay one unwinding inside the excitation sector; returns z of ``chosen``.
+
+    Slots 0 and ``chosen`` trade amplitudes, so the chosen qubit takes the
+    system slot and qubit 0 takes slot ``chosen``; each step of ``order`` is
+    then one inverse :func:`excitation_collide`.
+    """
+    amps = np.array(amplitudes, dtype=complex)
+    amps[[0, chosen]] = amps[[chosen, 0]]
+    es = ExcitationState(amps)
     for k in order:
-        a0, ak = amps[chosen], amps[k]
-        amps *= spectator
-        amps[chosen] = c * a0 - 1j * s * ak
-        amps[k] = -1j * s * a0 + c * ak
-    return 1.0 - 2.0 * float(abs(amps[chosen]) ** 2)
+        es = excitation_collide(es, chosen if k == 0 else k, angle, inverse=True)
+    return 1.0 - 2.0 * float(abs(es.amplitudes[0]) ** 2)
 
 
 def bin_indices(z: np.ndarray) -> np.ndarray:
@@ -212,11 +215,7 @@ def _sweep(mode: str, n_reservoir: int, angle, sample, seed) -> UnwindHistogram:
 
 
 def sweep_correct(
-    n_reservoir: int = 9,
-    angle: SwapAngle | None = None,
-    *,
-    sample: int | None = None,
-    seed: int = 0,
+    n_reservoir: int, angle: SwapAngle, *, sample: int | None = None, seed: int = 0
 ) -> UnwindHistogram:
     """Unwind with the system qubit correctly identified, over all N! orders.
 
@@ -228,11 +227,7 @@ def sweep_correct(
 
 
 def sweep_incorrect(
-    n_reservoir: int = 9,
-    angle: SwapAngle | None = None,
-    *,
-    sample: int | None = None,
-    seed: int = 0,
+    n_reservoir: int, angle: SwapAngle, *, sample: int | None = None, seed: int = 0
 ) -> UnwindHistogram:
     """Unwind with each reservoir qubit wrongly taken to be the system.
 

@@ -452,6 +452,17 @@ def test_verify_subset(capsys):
     assert final["ok"] is True and final["passed"] == 2
 
 
+def test_verify_rejects_unknown_check_before_running_any(capsys, monkeypatch):
+    import qhog.verify as verify_mod
+
+    ran = []
+    monkeypatch.setitem(verify_mod.ALL_CHECKS, "bloch.metric",
+                        lambda rng, quick: ran.append(rng) or "ran")
+    code, out, err = run_cli(capsys, "verify", "--checks", "bloch.metric,nosuch")
+    assert (code, out, err) == (2, "", "error: unknown check nosuch\n")
+    assert ran == []
+
+
 def test_verify_writes_failure_record(capsys, monkeypatch):
     import qhog.verify as verify_mod
 

@@ -6,7 +6,6 @@ import pytest
 from qhog.bloch import QubitState, bloch_from_ket
 from qhog.collision import (
     _BLOCK,
-    CollisionState,
     ExcitationState,
     apply_two_qubit,
     excitation_collide,
@@ -121,7 +120,6 @@ def test_run_pure_validates_before_allocating(monkeypatch):
         (([1, 1], KET0, 2), {}, "system ket is not normalized"),
         ((KET0, [1, 0, 0], 2), {}, "reservoir ket must have two components"),
         ((KET0, KET0, 0), {}, "need at least one reservoir qubit"),
-        ((KET0, KET0, 4), {"cap": 4}, "5 qubits exceeds the configured cap of 4"),
         ((KET0, KET0, 3), {"order": [2, 1, 2]}, "collision order contains repeats"),
         ((KET0, KET0, 3), {"order": [4]}, "reservoir index 4 out of range 1..3"),
         ((KET0, KET0, 3), {"order": [0]}, "reservoir index 0 out of range 1..3"),
@@ -409,12 +407,6 @@ def test_to_excitation_rejects_other_sectors():
     state = init_pure(PLUS, KET0, 2, ANGLE).run()
     with pytest.raises(ValueError):
         to_excitation(state)
-
-
-def test_excitation_to_vector_round_trip():
-    es = excitation_forward_run(4, ANGLE)
-    state = CollisionState(es.to_vector(), ANGLE, [])
-    assert np.allclose(to_excitation(state).amplitudes, es.amplitudes)
 
 
 def test_snapshot_schema():

@@ -158,9 +158,6 @@ def test_closed_form_table_matches_simulator():
 
 def test_closed_form_regime_guard():
     angle = SwapAngle.from_sin_squared(0.1)
-    closed_form_concurrences(2, 4, angle, system=KET1, reservoir=KET0)
-    with pytest.raises(ValueError):
-        closed_form_concurrences(2, 4, angle, system=KET0, reservoir=KET0)
     with pytest.raises(ValueError):
         closed_form_concurrences(5, 4, angle)
 

@@ -195,6 +195,30 @@ def test_enumerate_full_vector_spot_check():
         assert unwind(forward_full, 0, order).z == pytest.approx(z_fast, abs=1e-12)
 
 
+def _unwind_z_written_out(amps, chosen, order, angle):
+    """The inverse sector collision spelled out on the chosen qubit's own slot."""
+    c, s = angle.c, angle.s
+    amps = np.array(amps, dtype=complex)
+    for k in order:
+        a0, ak = amps[chosen], amps[k]
+        amps *= complex(c, -s)
+        amps[chosen] = c * a0 - 1j * s * ak
+        amps[k] = -1j * s * a0 + c * ak
+    return 1.0 - 2.0 * float(abs(amps[chosen]) ** 2)
+
+
+@pytest.mark.parametrize("angle", [SwapAngle(0.3), SwapAngle(1.2), DELTA_ANGLE])
+def test_unwind_z_excitation_bitwise_matches_written_out_replay(angle):
+    for n in (1, 2, 3, 4, 5):
+        amps = excitation_forward_run(n, angle).amplitudes
+        for chosen in range(n + 1):
+            others = [q for q in range(n + 1) if q != chosen]
+            for order in itertools.permutations(others):
+                got = np.float64(unwind_z_excitation(amps, chosen, order, angle))
+                want = np.float64(_unwind_z_written_out(amps, chosen, order, angle))
+                assert got.view(np.uint64) == want.view(np.uint64), (n, chosen, order)
+
+
 def test_sweep_correct_small():
     hist = sweep_correct(5, ANGLE)
     assert hist.total_trials == 120
