@@ -17,15 +17,20 @@ BLOCH_RADIUS = 0.5
 _RADIUS_TOL = 1e-12
 
 
-def _checked_bloch(w) -> np.ndarray:
-    """``w`` as a float array, checked to be a finite 3-vector of length at most 1/2."""
+def _lengths(w: np.ndarray) -> np.ndarray:
+    """|w| of each row of ``w``, through the dot product that ``np.linalg.norm`` takes."""
+    return np.sqrt(np.matmul(w[..., None, :], w[..., :, None]))[..., 0, 0]
+
+
+def _checked_bloch(w, rows: bool = False) -> np.ndarray:
+    """``w`` as floats, checked to be a finite 3-vector (``rows``: a stack) of length <= 1/2."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (3,):
+    if w.shape != (3,) and not (rows and w.shape[-1:] == (3,)):
         raise ValueError(f"Bloch vector must have 3 components, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError(f"Bloch vector components must be finite, got {w.tolist()}")
     with np.errstate(over="ignore"):  # components near 1e154 square to inf
-        r = float(np.linalg.norm(w))
+        r = float(_lengths(w).max() if rows else np.linalg.norm(w))
     if r > BLOCH_RADIUS + _RADIUS_TOL:
         raise ValueError(f"Bloch vector length {r} exceeds 1/2")
     return w

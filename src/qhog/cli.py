@@ -22,7 +22,6 @@ import sys
 
 import numpy as np
 
-from . import verify as verify_mod
 from .bloch import QubitState, ket_from_bloch
 from .collision import run_mixed_system, run_pure
 from .entanglement import entanglement_tables, one_zero_start
@@ -121,6 +120,15 @@ def _write_json_with_amplitudes(out: str | None, payload: dict, vec: np.ndarray)
                       "\n    ],\n    [\n      ", "\n    ]\n  ]" + tail)
 
 
+def _trajectory_json(traj) -> str:
+    """``_dump_json`` of the trajectory's records, formatted one ``%`` template per record."""
+    marks = {"n": "@", "D_sys": "@", "D_res": "@", "system": ["@"] * 3, "reservoir_out": ["@"] * 3}
+    record = _dump_json([marks])[2:-3].replace('"@"', "%r")  # one record as laid out in the list
+    cols = np.column_stack([traj.d_reservoir, traj.d_system, traj.reservoir_out, traj.system])
+    records = (record % (d_res, d_sys, n, *w) for n, (d_res, d_sys, *w) in enumerate(cols.tolist()))
+    return "[\n" + ",\n".join(records) + "\n]\n"
+
+
 def cmd_homogenize(args) -> int:
     angle, delta = _resolve_angle(args)
     if args.n is not None:
@@ -132,12 +140,9 @@ def cmd_homogenize(args) -> int:
     rho0 = parse_state(args.system)
     xi = parse_state(args.reservoir)
     traj = run_trajectory(rho0, xi, angle, n)
-    if args.format == "csv":
-        _write(args.out, traj.to_csv())
-    else:
-        _write(args.out, _dump_json(traj.to_json_records()))
-    final_d = traj.steps[-1].d_system
-    max_res = max(st.d_reservoir for st in traj.steps[1:])
+    _write(args.out, traj.to_csv() if args.format == "csv" else _trajectory_json(traj))
+    final_d = float(traj.d_system[-1])
+    max_res = float(traj.d_reservoir[1:].max())
     # the budget angle saturates the reservoir bound at exactly delta
     ok = True if delta is None else (final_d <= delta + 1e-12 and max_res <= delta + 1e-12)
     _summary(
@@ -260,7 +265,8 @@ def cmd_safe(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.checks.split(",") if args.checks else None
+    from . import verify as verify_mod  # only this command needs it
+    names = None if args.checks is None else args.checks.split(",")
     results = verify_mod.run_checks(names, seed=args.seed, quick=args.quick)
     failures = []
     for res in results:

@@ -18,11 +18,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import QubitState, density_from_bloch, random_pure_state, random_state, trace_distance
+from .bloch import (QubitState, _checked_bloch, _lengths, density_from_bloch,
+                    random_pure_state, random_state)
 from .linalg import is_unitary, partial_trace, tensor_product, trace_norm
 
 log = logging.getLogger(__name__)
@@ -86,11 +88,22 @@ def partial_swap_unitary(angle: SwapAngle) -> np.ndarray:
     return angle.c * np.eye(4, dtype=complex) + 1j * angle.s * SWAP
 
 
+def _step(w, t, s2: float, c2: float, cs2: float) -> tuple[float, float, float]:
+    """s2 t + c2 w - cs2 (t x w) on float 3-sequences, with np.cross's terms in its order."""
+    (w0, w1, w2), (t0, t1, t2) = w, t
+    return (s2 * t0 + c2 * w0 - cs2 * (t1 * w2 - t2 * w1),
+            s2 * t1 + c2 * w1 - cs2 * (t2 * w0 - t0 * w2),
+            s2 * t2 + c2 * w2 - cs2 * (t0 * w1 - t1 * w0))
+
+
+def _weights(angle: SwapAngle) -> tuple[float, float, float]:
+    """(s^2, c^2, 2cs) as the one-step maps group them."""
+    return angle.s**2, angle.c**2, 2.0 * (angle.c * angle.s)
+
+
 def step_system(rho: QubitState, xi: QubitState, angle: SwapAngle) -> QubitState:
     """System qubit after one collision: c^2 rho + s^2 xi + i c s [xi, rho]."""
-    w, t = rho.w, xi.w
-    s2, c2, cs = angle.s**2, angle.c**2, angle.c * angle.s
-    return QubitState(s2 * t + c2 * w - 2.0 * cs * np.cross(t, w))
+    return QubitState(_step(rho.w.tolist(), xi.w.tolist(), *_weights(angle)))
 
 
 def step_reservoir(rho: QubitState, xi: QubitState, angle: SwapAngle) -> QubitState:
@@ -98,7 +111,7 @@ def step_reservoir(rho: QubitState, xi: QubitState, angle: SwapAngle) -> QubitSt
 
     P commutes with SWAP, so this is the system step with the roles exchanged.
     """
-    return step_system(xi, rho, angle)
+    return QubitState(_step(xi.w.tolist(), rho.w.tolist(), *_weights(angle)))
 
 
 @dataclass(frozen=True)
@@ -120,7 +133,7 @@ class AffineSuperOp:
 def superoperator(xi: QubitState, angle: SwapAngle) -> AffineSuperOp:
     """Affine matrix of one collision step for reservoir state xi."""
     tx, ty, tz = xi.w
-    s2, c2, cs2 = angle.s**2, angle.c**2, 2.0 * angle.c * angle.s
+    s2, c2, cs2 = _weights(angle)
     m = np.array(
         [
             [1.0, 0.0, 0.0, 0.0],
@@ -161,51 +174,51 @@ class TrajectoryStep:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-collision record of the system and outgoing reservoir states."""
+    """Per-collision record of the system and outgoing reservoir states (row 0: the inputs)."""
 
     xi: QubitState
     angle: SwapAngle
-    steps: list[TrajectoryStep]
+    system: np.ndarray
+    reservoir_out: np.ndarray
+    d_system: np.ndarray
+    d_reservoir: np.ndarray
 
     def __len__(self):
-        return len(self.steps)
+        return len(self.d_system)
 
     def __iter__(self):
         return iter(self.steps)
 
+    @cached_property
+    def steps(self) -> list[TrajectoryStep]:
+        ds = zip(self.d_system.tolist(), self.d_reservoir.tolist())
+        return [TrajectoryStep(n, QubitState(w), QubitState(t), *d)
+                for n, (w, t, d) in enumerate(zip(self.system, self.reservoir_out, ds))]
+
     def to_csv(self) -> str:
         rows = ["n,wx,wy,wz,txp,typ,tzp,D_sys,D_res"]
-        for st in self.steps:
-            vals = [*st.system.w, *st.reservoir_out.w, st.d_system, st.d_reservoir]
-            rows.append(f"{st.n}," + ",".join(f"{v:.17g}" for v in vals))
+        cols = np.column_stack([self.system, self.reservoir_out, self.d_system, self.d_reservoir])
+        for n, vals in enumerate(cols.tolist()):
+            rows.append(f"{n}," + ",".join(f"{v:.17g}" for v in vals))
         return "\n".join(rows) + "\n"
-
-    def to_json_records(self) -> list[dict]:
-        return [
-            {
-                "n": st.n,
-                "system": list(st.system.w),
-                "reservoir_out": list(st.reservoir_out.w),
-                "D_sys": st.d_system,
-                "D_res": st.d_reservoir,
-            }
-            for st in self.steps
-        ]
 
 
 def run_trajectory(rho0: QubitState, xi: QubitState, angle: SwapAngle, n_steps: int) -> Trajectory:
-    """Iterate the one-step maps, recording distances to xi after each collision."""
+    """Iterate the one-step maps on floats, recording distances to xi after each collision."""
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    steps = [TrajectoryStep(0, rho0, xi, trace_distance(rho0, xi), 0.0)]
-    rho = rho0
-    for n in range(1, n_steps + 1):
-        res_out = step_reservoir(rho, xi, angle)
-        rho = step_system(rho, xi, angle)
-        steps.append(
-            TrajectoryStep(n, rho, res_out, trace_distance(rho, xi), trace_distance(res_out, xi))
-        )
-    return Trajectory(xi, angle, steps)
+    weights = _weights(angle)
+    w, t = rho0.w.tolist(), xi.w.tolist()
+    systems, reservoirs = [w], [t]
+    for _ in range(n_steps):
+        reservoirs.append(_step(t, w, *weights))
+        w = _step(w, t, *weights)
+        systems.append(w)
+    states = _checked_bloch([systems, reservoirs], rows=True)  # QubitState's checks, once
+    d = np.zeros((2, n_steps + 1, 4))  # 16-byte aligned rows: SSE2 dot kernels sum by alignment
+    d[..., :3] = states - xi.w
+    d_system, d_reservoir = 2.0 * _lengths(d[..., :3])
+    return Trajectory(xi, angle, states[0], states[1], d_system, d_reservoir)
 
 
 @dataclass(frozen=True)

@@ -173,12 +173,13 @@ def _sampled(b, chosen_list, wr, wi, u, sample: int, seed: int):
     n = b.size - 1
     rows = max(1, SAMPLE_BATCH_SLOTS // n)
     for start in range(0, sample, rows):
-        chosen = np.empty(min(rows, sample - start), dtype=np.intp)
-        orders = np.empty((chosen.size, n), dtype=np.intp)
-        for r in range(chosen.size):
-            chosen[r] = chosen_list[int(rng.integers(len(chosen_list)))]
-            perm = rng.permutation(n)
-            orders[r] = perm + (perm >= chosen[r])  # index into the pool -> qubit
+        picks = np.empty(min(rows, sample - start), dtype=np.intp)
+        orders = np.tile(np.arange(n), (picks.size, 1))
+        for r in range(picks.size):
+            picks[r] = rng.integers(len(chosen_list))
+            rng.shuffle(orders[r])  # the shuffle rng.permutation(n) runs on its arange
+        chosen = np.asarray(chosen_list)[picks]
+        orders += orders >= chosen[:, None]  # index into the pool -> qubit
         yield _unwind_steps(b.real[chosen], b.imag[chosen], orders.T, wr, wi, u)
 
 

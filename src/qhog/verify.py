@@ -239,12 +239,9 @@ def check_homogenizer_monotone_reservoir(rng, quick) -> str:
     for _ in range(20 if quick else 80):
         rho0, xi = random_state(rng), random_state(rng)
         angle = _random_angle(rng)
-        traj = hmg.run_trajectory(rho0, xi, angle, 40)
-        for a, b in zip(traj.steps[1:], traj.steps[2:]):
-            _require(
-                b.d_reservoir <= a.d_reservoir + 1e-12,
-                f"reservoir distance grew: {a.d_reservoir} -> {b.d_reservoir}",
-            )
+        d = hmg.run_trajectory(rho0, xi, angle, 40).d_reservoir[1:].tolist()
+        for a, b in zip(d, d[1:]):
+            _require(b <= a + 1e-12, f"reservoir distance grew: {a} -> {b}")
     return "outgoing reservoir distances non-increasing"
 
 
@@ -569,9 +566,11 @@ def run_check(name: str, seed: int = 0, quick: bool = False) -> CheckResult:
 
 
 def run_checks(names=None, seed: int = 0, quick: bool = False) -> list[CheckResult]:
-    """Run the checks ``names`` (default all); unknown names raise before any check runs."""
+    """Run the checks ``names`` (default all); bad names raise before any check runs."""
     if names is None:
         names = list(ALL_CHECKS)
+    if not all(names):
+        raise ValueError(f"empty check name in {','.join(names)!r}")
     unknown = [name for name in names if name not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown check {', '.join(unknown)}")

@@ -13,7 +13,7 @@ import qhog
 from qhog.bloch import QubitState
 from qhog.cli import main, parse_ket, parse_state
 from qhog.collision import run_pure
-from qhog.homogenizer import SwapAngle
+from qhog.homogenizer import SwapAngle, run_trajectory
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +154,24 @@ def test_simulate_json_amplitudes_match_json_dumps(capsys, tmp_path, monkeypatch
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == want
     path = tmp_path / "amps.json"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text(encoding="utf-8") == want
+
+
+def test_homogenize_json_matches_json_dumps(capsys, tmp_path):
+    # the start carries exact -0.0 components and late distances print in exponent form
+    argv = ["homogenize", "--eta", "1.2", "--n", "60", "--system=-0.0,-0.3,-0.4",
+            "--reservoir", "0.1,-0.0,0.2", "--format", "json"]
+    traj = run_trajectory(parse_state("-0.0,-0.3,-0.4"), parse_state("0.1,-0.0,0.2"),
+                          SwapAngle(1.2), 60)
+    records = [{"n": st.n, "system": list(st.system.w), "reservoir_out": list(st.reservoir_out.w),
+                "D_sys": st.d_system, "D_res": st.d_reservoir} for st in traj.steps]
+    want = json.dumps(records, indent=2, sort_keys=True) + "\n"
+    assert "-0.0," in want and "e-" in want
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+    path = tmp_path / "traj.json"
     code, out, _ = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and out == ""
     assert path.read_text(encoding="utf-8") == want
@@ -349,8 +367,9 @@ def test_invalid_values_exit_cleanly(capsys, tmp_path):
 
 # sha256 of the output bytes, and of the stderr summary under "stderr", captured
 # on earlier versions: the first three before the global state was grown one
-# reservoir qubit at a time, the others before the entanglement tables
-# carried their own closed forms and formats
+# reservoir qubit at a time, the JSON trajectory before the trajectory ran on
+# Python floats, the others before the entanglement tables carried their own
+# closed forms and formats
 _PINNED = [
     (["simulate", "--eta", "0.3", "--n", "6", "--system", "plus", "--format", "json"],
      {"": "c85f7c100bbba2dbd8fcf801e2509d39905bb8364af495715a359adcf16b9811"}),
@@ -381,6 +400,9 @@ _PINNED = [
      {"_pairs.csv": "8fd6a3979b16760360d6880ebe9abcb290ec2b15da6e84379471bf1aa82f11ba",
       "_tangles.csv": "4b53db2b4e1688d94479381f806946db1dc4d5e66b1269c24f0bdaedcf538b38",
       "stderr": "b885f2b266d1141d3fb8bb1fa036eed89e94ed00143a9210b410a7566741bd1d"}),
+    (["homogenize", "--delta", "0.02", "--format", "json"],
+     {"": "30b67564c9983289a853ffa45370b6d8893bcc4212c40e141462d5167c4bf62e",
+      "stderr": "3a7a39243d7249ffc90b356fd2b7bab2ba681ee8180ffe9c7c90b092c9d09382"}),
 ]
 
 
@@ -421,13 +443,15 @@ def _avx512_groups() -> str:
 @pytest.mark.parametrize("coretype,no_avx512", [("Haswell", True), ("Zen", False)])
 def test_outputs_pinned_on_other_cpu_kernels(tmp_path, coretype, no_avx512):
     # the README's entangle line and the mixed simulate reduce pair and
-    # one-qubit states; their bytes must not depend on the kernel the CPU gets
+    # one-qubit states, and the trajectory takes norms; their bytes must not
+    # depend on the kernel the CPU gets (the trajectory's start is on the z
+    # axis, where every kernel gives the same norms)
     src = str(Path(qhog.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=path)
     if no_avx512:
         env["NPY_DISABLE_CPU_FEATURES"] = _avx512_groups()
-    for argv, digests in (_PINNED[1], _PINNED[2]):
+    for argv, digests in (_PINNED[1], _PINNED[2], _PINNED[10]):
         out = tmp_path / "out"
         proc = subprocess.run([sys.executable, "-m", "qhog", *argv, "--out", str(out)],
                               capture_output=True, env=env, timeout=120)
@@ -461,6 +485,27 @@ def test_verify_rejects_unknown_check_before_running_any(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--checks", "bloch.metric,nosuch")
     assert (code, out, err) == (2, "", "error: unknown check nosuch\n")
     assert ran == []
+
+
+@pytest.mark.parametrize("checks", ["", "bloch.metric,", ",bloch.metric"])
+def test_verify_rejects_empty_check_name_before_running_any(capsys, monkeypatch, checks):
+    import qhog.verify as verify_mod
+
+    ran = []
+    monkeypatch.setitem(verify_mod.ALL_CHECKS, "bloch.metric",
+                        lambda rng, quick: ran.append(rng) or "ran")
+    code, out, err = run_cli(capsys, "verify", "--quick", "--checks", checks)
+    assert (code, out, err) == (2, "", f"error: empty check name in {checks!r}\n")
+    assert ran == []
+
+
+def test_importing_cli_leaves_verify_unloaded():
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, qhog.cli; print('qhog.verify' in sys.modules)"],
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, b"False\n"), proc.stderr
 
 
 def test_verify_writes_failure_record(capsys, monkeypatch):

@@ -1,9 +1,13 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qhog.bloch import QubitState, random_state, trace_distance
+from qhog.bloch import QubitState, random_pure_state, random_state, trace_distance
 from qhog.homogenizer import (
     SWAP,
     SwapAngle,
@@ -203,8 +207,60 @@ def test_trajectory_csv_shape():
     assert lines[0] == "n,wx,wy,wz,txp,typ,tzp,D_sys,D_res"
     assert len(lines) == 5
     assert lines[1].startswith("0,")
-    records = traj.to_json_records()
-    assert records[0]["n"] == 0 and len(records) == 4
+    assert len(traj) == 4 and [st.n for st in traj] == [0, 1, 2, 3]
+
+
+def _trajectory_by_steps(rho0, xi, angle, n_steps):
+    """The per-step loop written out: np.cross on arrays, one checked QubitState per
+    state and one trace_distance per distance."""
+    s2, c2, cs = angle.s**2, angle.c**2, angle.c * angle.s
+
+    def step(w, t):
+        return QubitState(s2 * t + c2 * w - 2.0 * cs * np.cross(t, w))
+
+    system, reservoir = [rho0], [xi]
+    for _ in range(n_steps):
+        reservoir.append(step(xi.w, system[-1].w))
+        system.append(step(system[-1].w, xi.w))
+    d_sys = [trace_distance(st, xi) for st in system]
+    d_res = [0.0] + [trace_distance(st, xi) for st in reservoir[1:]]
+    return [st.w for st in system], [st.w for st in reservoir], d_sys, d_res
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3, math.pi / 2])
+def test_run_trajectory_bitwise_matches_step_loop(eta):
+    rng = np.random.default_rng(round(eta * 1000) + 8)
+    angle = SwapAngle(eta)
+    same = random_state(rng)
+    starts = [(random_state(rng), random_state(rng)) for _ in range(3)]
+    starts += [(random_pure_state(rng), random_pure_state(rng)) for _ in range(3)]
+    starts += [(random_pure_state(rng), random_state(rng)), (same, same)]
+    for rho0, xi in starts:
+        traj = run_trajectory(rho0, xi, angle, 40)
+        want = _trajectory_by_steps(rho0, xi, angle, 40)
+        got = (traj.system, traj.reservoir_out, traj.d_system, traj.d_reservoir)
+        for g, w in zip(got, want):
+            assert np.array_equal(_bits(g), _bits(w))
+        assert np.array_equal(_bits([st.system.w for st in traj.steps]), _bits(want[0]))
+        assert [st.d_reservoir for st in traj] == want[3]
+        assert np.array_equal(_bits(step_system(rho0, xi, angle).w), _bits(want[0][1]))
+        assert np.array_equal(_bits(step_reservoir(rho0, xi, angle).w), _bits(want[1][1]))
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the kernel setting names an x86-64 CPU")
+def test_run_trajectory_bitwise_matches_step_loop_on_sse2_kernel():
+    # SSE2 dot kernels sum a 3-vector in an order set by its alignment, so the
+    # stacked distances must see each row where a fresh vector would lie
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    test = f"{__file__}::test_run_trajectory_bitwise_matches_step_loop"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout.decode()[-2000:]
 
 
 def test_budget_examples():
