@@ -1,13 +1,16 @@
 """Command-line interface: every experiment as a batch command.
 
-Subcommands: homogenize | bounds | simulate | entangle | safe | verify.
+Each subcommand reads only its own flags: homogenize --eta|--delta [--n
+--system --reservoir]; bounds --delta; simulate and entangle --eta|--delta
+--n [--system --reservoir --order]; safe --eta|--delta [--n (9) --mode
+--sample --seed]; verify [--seed --quick --checks].  All but verify take
+--format csv|json and --out.
 States are given either as a ket keyword (zero, one, plus) or as three
-comma-separated Bloch components in the half-radius convention.  The
-interaction strength comes from --eta (radians) or --delta (target
-homogenization precision, converted through sin(eta) = sqrt(delta/2));
-exactly one of the two must be supplied.  Data goes to --out or stdout;
-a one-line JSON summary goes to stderr.  Exit status is nonzero when a
-requested check fails, with the failure recorded in the summary.
+comma-separated Bloch components in the half-radius convention.  --delta
+is a target homogenization precision; it sets sin(eta) = sqrt(delta/2).
+Data goes to --out or stdout; a one-line JSON summary goes to stderr.
+Exit status is 1 when a requested check fails, with the failure recorded
+in the summary, and 2, with one ``error:`` line, for any invalid input.
 
 The global-state commands cap the total qubit count at 22 unless the
 QHOG_MAX_QUBITS environment variable overrides it.
@@ -24,8 +27,8 @@ import numpy as np
 
 from .bloch import QubitState, ket_from_bloch
 from .collision import run_mixed_system, run_pure
-from .entanglement import entanglement_tables, one_zero_start
-from .homogenizer import SwapAngle, budget_from_delta, run_trajectory
+from .entanglement import entanglement_tables
+from .homogenizer import HomogenizationBudget, SwapAngle, budget_from_delta, run_trajectory
 from .safe import sweep_correct, sweep_incorrect
 
 _KETS = {
@@ -48,15 +51,11 @@ def parse_ket(text: str) -> np.ndarray:
     return ket_from_bloch(QubitState.from_text(text).w)
 
 
-def _resolve_angle(args) -> tuple[SwapAngle, float | None]:
-    has_eta = args.eta is not None
-    has_delta = args.delta is not None
-    if has_eta == has_delta:
-        raise ValueError("exactly one of --eta and --delta must be given")
-    if has_eta:
+def _resolve_angle(args) -> tuple[SwapAngle, HomogenizationBudget | None]:
+    if args.eta is not None:
         return SwapAngle(args.eta), None
     budget = budget_from_delta(args.delta)
-    return SwapAngle(budget.eta_max), args.delta
+    return SwapAngle(budget.eta_max), budget
 
 
 def _write(out: str | None, text: str, mode: str = "w") -> None:
@@ -130,13 +129,11 @@ def _trajectory_json(traj) -> str:
 
 
 def cmd_homogenize(args) -> int:
-    angle, delta = _resolve_angle(args)
-    if args.n is not None:
-        n = args.n
-    elif delta is not None:
-        n = budget_from_delta(delta).n_delta
-    else:
+    angle, budget = _resolve_angle(args)
+    if args.n is None and budget is None:
         raise ValueError("--n is required when the angle is given via --eta")
+    n = budget.n_delta if args.n is None else args.n
+    delta = None if budget is None else budget.delta
     rho0 = parse_state(args.system)
     xi = parse_state(args.reservoir)
     traj = run_trajectory(rho0, xi, angle, n)
@@ -160,8 +157,6 @@ def cmd_homogenize(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.delta is None:
-        raise ValueError("bounds requires --delta")
     budget = budget_from_delta(args.delta)
     report = {
         "delta": budget.delta,
@@ -188,8 +183,6 @@ def _parse_order(text: str | None):
 
 def cmd_simulate(args) -> int:
     angle, _ = _resolve_angle(args)
-    if args.n is None:
-        raise ValueError("simulate requires --n")
     order = _parse_order(args.order)
     reservoir = parse_ket(args.reservoir)
     system_state = parse_state(args.system)
@@ -217,8 +210,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_entangle(args) -> int:
     angle, _ = _resolve_angle(args)
-    if args.n is None:
-        raise ValueError("entangle requires --n")
     if args.format == "csv" and args.out is None:
         raise ValueError("entangle with --format csv needs --out (two files are written)")
     system = parse_ket(args.system)
@@ -241,11 +232,8 @@ def cmd_entangle(args) -> int:
 
 def cmd_safe(args) -> int:
     angle, _ = _resolve_angle(args)
-    n = 9 if args.n is None else args.n
-    if not one_zero_start(parse_ket(args.system), parse_ket(args.reservoir)):
-        raise ValueError("the unwinding sweeps are defined for --system one --reservoir zero")
     sweep = sweep_correct if args.mode == "correct" else sweep_incorrect
-    hist = sweep(n, angle, sample=args.sample, seed=args.seed)
+    hist = sweep(args.n, angle, sample=args.sample, seed=args.seed)
     if args.format == "csv":
         _write(args.out, hist.to_csv())
     else:
@@ -255,7 +243,7 @@ def cmd_safe(args) -> int:
             "command": "safe",
             "ok": True,
             "mode": args.mode,
-            "N": n,
+            "N": args.n,
             "eta": angle.eta,
             "total_trials": hist.total_trials,
             "exact_reversals": hist.exact_reversals,
@@ -281,50 +269,60 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it as one ``error:`` line, exit 2
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qhog",
         description="Partial-swap quantum homogenization experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    delta_help = "target precision; sets sin(eta) = sqrt(delta/2)"
 
-    def add_common(p, states=True):
-        p.add_argument("--eta", type=float, help="interaction angle in radians")
-        p.add_argument("--delta", type=float,
-                       help="target precision; sets sin(eta) = sqrt(delta/2)")
-        p.add_argument("--n", type=int, help="number of reservoir qubits")
-        if states:
-            p.add_argument("--system", default="one",
-                           help="system state: zero|one|plus or wx,wy,wz")
-            p.add_argument("--reservoir", default="zero",
-                           help="reservoir state: zero|one|plus or wx,wy,wz")
-        p.add_argument("--order", help="comma-separated collision order override")
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--sample", type=int,
-                       help="sample this many random trials instead of the full sweep")
+        return p
 
-    p = sub.add_parser("homogenize", help="iterate the one-step maps and dump the trajectory")
-    add_common(p)
-    p.set_defaults(fn=cmd_homogenize)
+    def add_angle_and_n(p, **n_options):
+        angle = p.add_mutually_exclusive_group(required=True)
+        angle.add_argument("--eta", type=float, help="interaction angle in radians")
+        angle.add_argument("--delta", type=float, help=delta_help)
+        p.add_argument("--n", type=int, help="number of reservoir qubits", **n_options)
 
-    p = sub.add_parser("bounds", help="angle and step-count budget for a given delta")
-    add_common(p, states=False)
-    p.set_defaults(fn=cmd_bounds)
+    def add_states(p):
+        p.add_argument("--system", default="one", help="system state: zero|one|plus or wx,wy,wz")
+        p.add_argument("--reservoir", default="zero",
+                       help="reservoir state: zero|one|plus or wx,wy,wz")
 
-    p = sub.add_parser("simulate", help="exact global collision run and state snapshot")
-    add_common(p)
-    p.set_defaults(fn=cmd_simulate)
+    p = command("homogenize", cmd_homogenize, "iterate the one-step maps and dump the trajectory")
+    add_angle_and_n(p)
+    add_states(p)
 
-    p = sub.add_parser("entangle", help="pairwise concurrences and CKW tangle sums")
-    add_common(p)
-    p.set_defaults(fn=cmd_entangle)
+    p = command("bounds", cmd_bounds, "angle and step-count budget for a given delta")
+    p.add_argument("--delta", type=float, required=True, help=delta_help)
 
-    p = sub.add_parser("safe", help="exhaustive unwinding sweep histograms")
-    add_common(p)
+    for name, fn, help in (
+        ("simulate", cmd_simulate, "exact global collision run and state snapshot"),
+        ("entangle", cmd_entangle, "pairwise concurrences and CKW tangle sums"),
+    ):
+        p = command(name, fn, help)
+        add_angle_and_n(p, required=True)
+        add_states(p)
+        p.add_argument("--order", help="comma-separated collision order override")
+
+    # the unwinding sweeps are defined for the |1> system and the |0> reservoir only
+    p = command("safe", cmd_safe, "exhaustive unwinding sweep histograms")
+    add_angle_and_n(p, default=9)
     p.add_argument("--mode", choices=("correct", "incorrect"), default="correct")
-    p.set_defaults(fn=cmd_safe)
+    p.add_argument("--sample", type=int,
+                   help="sample this many random trials instead of the full sweep")
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify", help="run every invariant suite")
     p.add_argument("--seed", type=int, default=0)
@@ -335,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except ValueError as exc:  # an argument or path may hold a newline; keep one line
+        sys.stderr.write("error: " + str(exc).replace("\n", "\\n") + "\n")
         return 2
 
 

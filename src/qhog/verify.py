@@ -551,7 +551,7 @@ ALL_CHECKS = {name[len("check_"):].replace("_", ".", 1): fn
               for name, fn in list(globals().items()) if name.startswith("check_")}
 
 
-def run_check(name: str, seed: int = 0, quick: bool = False) -> CheckResult:
+def run_check(name: str, seed: int, quick: bool) -> CheckResult:
     fn = ALL_CHECKS[name]
     # mix the check name into the seed so suites draw independent streams
     rng = np.random.default_rng([seed, *name.encode()])
@@ -565,8 +565,8 @@ def run_check(name: str, seed: int = 0, quick: bool = False) -> CheckResult:
     return CheckResult(name, ok, detail, time.perf_counter() - start)
 
 
-def run_checks(names=None, seed: int = 0, quick: bool = False) -> list[CheckResult]:
-    """Run the checks ``names`` (default all); bad names raise before any check runs."""
+def run_checks(names, seed: int, quick: bool) -> list[CheckResult]:
+    """Run the checks ``names`` (None for all); bad names raise before any check runs."""
     if names is None:
         names = list(ALL_CHECKS)
     if not all(names):

@@ -339,6 +339,8 @@ def test_invalid_values_exit_cleanly(capsys, tmp_path):
         capsys, "homogenize", "--eta", "0.3", "--n", "4", "--system", "0.9,0,0"
     )
     assert code == 2  # Bloch vector outside the half-radius ball
+    assert_usage_error(capsys)
+    assert_usage_error(capsys, "simulate", "--eta", "0.3", "--n", "3", "--format", "xml")
     for argv in (
         ["safe", "--delta", "0.1", "--n", "-1"],
         ["safe", "--delta", "0.1", "--sample", "-5"],
@@ -358,6 +360,24 @@ def test_invalid_values_exit_cleanly(capsys, tmp_path):
         ["simulate", "--eta", "0.3", "--n", "3", "--out", str(tmp_path / "missing" / "x.json")],
         *([command, "--eta", "0.3"] for command in ("simulate", "entangle", "homogenize")),
         ["bounds", "--eta", "0.3"],
+        ["simulate", "--eta", "0.3", "--n", "3.5"],
+        ["safe", "--eta", "0.3", "a\nb"],
+        ["bounds", "--delta", "0.2", "--out", str(tmp_path / "missing\n" / "x.json")],
+        # each flag a subcommand does not read, with a value another subcommand accepts
+        *(
+            [*base, flag]
+            for base, flags in (
+                (["homogenize", "--eta", "0.3", "--n", "3"],
+                 ("--order=1,2,3", "--seed=1", "--sample=4")),
+                (["bounds", "--delta", "0.1"],
+                 ("--eta=0.3", "--n=3", "--order=1,2,3", "--seed=1", "--sample=4")),
+                (["simulate", "--eta", "0.3", "--n", "3"], ("--seed=1", "--sample=4")),
+                (["entangle", "--eta", "0.3", "--n", "3"], ("--seed=1", "--sample=4")),
+                (["safe", "--delta", "0.1", "--n", "3"],
+                 ("--order=3,2,1", "--system=one", "--reservoir=zero")),
+            )
+            for flag in flags
+        ),
     ):
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 2, argv

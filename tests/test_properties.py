@@ -48,7 +48,7 @@ def test_check_names_and_order_are_pinned():
 
 @pytest.mark.parametrize("name", sorted(verify.ALL_CHECKS))
 def test_invariant_suite(name):
-    result = verify.run_check(name, seed=0)
+    result = verify.run_check(name, seed=0, quick=False)
     assert result.ok, f"{name}: {result.detail}"
 
 
@@ -62,17 +62,17 @@ def test_suites_catch_sign_mutation(monkeypatch):
         return AffineSuperOp(m)
 
     monkeypatch.setattr(qhog.homogenizer, "superoperator", flipped)
-    result = verify.run_check("homogenizer.three_way_agreement", seed=0)
+    result = verify.run_check("homogenizer.three_way_agreement", seed=0, quick=False)
     assert not result.ok
 
 
 def test_checks_are_deterministic():
-    a = verify.run_check("homogenizer.fixed_point", seed=1)
-    b = verify.run_check("homogenizer.fixed_point", seed=1)
+    a = verify.run_check("homogenizer.fixed_point", seed=1, quick=False)
+    b = verify.run_check("homogenizer.fixed_point", seed=1, quick=False)
     assert a.detail == b.detail
 
 
 def test_quick_mode_runs_everything():
-    results = verify.run_checks(seed=2, quick=True)
+    results = verify.run_checks(None, seed=2, quick=True)
     assert len(results) == len(verify.ALL_CHECKS)
     assert all(r.ok for r in results), [r.name for r in results if not r.ok]
