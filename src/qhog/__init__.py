@@ -8,7 +8,6 @@ from .collision import (
     init_pure,
     run_mixed_system,
     run_pure,
-    to_excitation,
 )
 from .entanglement import (
     ConcurrenceTable,
@@ -71,7 +70,6 @@ __all__ = [
     "sweep_correct",
     "sweep_incorrect",
     "tangle_one_vs_rest",
-    "to_excitation",
     "total_tangle_sum",
     "trace_distance",
     "unwind",

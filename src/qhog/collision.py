@@ -16,8 +16,12 @@ over the final vector instead of one per collision.
 
 For the |1> system / |0> reservoir initial condition the dynamics never
 leaves the one-excitation subspace, so the same evolution can be tracked
-with just N+1 amplitudes (one per possible location of the excitation).
-That fast path is what makes the exhaustive unwinding sweeps cheap.
+with just N+1 amplitudes f_j (one per possible location of the
+excitation), in any collision order.  That sector run makes the
+exhaustive unwinding sweeps cheap, and it covers every pure reservoir:
+the partial swap commutes with U x U, so in the frame where the
+reservoir ket xi is |0> a run keeps the vacuum plus <xi_perp|psi> times
+the f_j of the same order.
 """
 
 from __future__ import annotations
@@ -306,20 +310,6 @@ class ExcitationState:
         return cls(amps)
 
 
-def to_excitation(state: CollisionState, tol: float = 1e-12) -> ExcitationState:
-    """Project a one-excitation CollisionState onto the small representation."""
-    n = state.num_qubits
-    vec = state.vector
-    idx = [1 << (n - 1 - j) for j in range(n)]
-    amps = np.array(vec[idx], dtype=complex)
-    rest = vec.copy()
-    rest[idx] = 0.0
-    leak = float(np.sum(np.abs(rest) ** 2))
-    if leak > tol:
-        raise ValueError(f"state has weight {leak:.3e} outside the one-excitation sector")
-    return ExcitationState(amps)
-
-
 def excitation_collide(
     es: ExcitationState, k: int, angle: SwapAngle, inverse: bool = False
 ) -> ExcitationState:
@@ -341,9 +331,9 @@ def excitation_collide(
     return ExcitationState(amps)
 
 
-def excitation_forward_run(n_reservoir: int, angle: SwapAngle) -> ExcitationState:
-    """Fast-path forward homogenization of |1> against |0>^N in order 1..N."""
+def excitation_forward_run(n_reservoir: int, angle: SwapAngle, order=None) -> ExcitationState:
+    """|1> against |0>^N collided in ``order`` (default 1..N), inside the sector."""
     es = ExcitationState.initial(n_reservoir + 1)
-    for k in range(1, n_reservoir + 1):
+    for k in _checked_order(order, n_reservoir):
         es = excitation_collide(es, k, angle)
     return es

@@ -32,6 +32,10 @@ def concurrence(rho, tol: float = 1e-8) -> float:
     sqrt(rho) (sy x sy) rho* (sy x sy) sqrt(rho) are the squares of the
     usual spin-flip singular values lambda_i, which keeps the spectrum
     real and non-negative by construction.
+
+    Eigenvalues below 1e-14 are read as exact zeros, so every lambda_i
+    below 1e-7 is 0: a concurrence whose lambda_1 lies below 1e-7 (for a
+    pure state, any concurrence below 1e-7) reads as exactly 0.0.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -97,7 +101,7 @@ def _csv(columns: list[str], records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConcurrenceTable:
     """Pairwise concurrences C_jk (j < k, qubit 0 = system) after n collisions.
 
@@ -124,7 +128,7 @@ class ConcurrenceTable:
                  **_closed_columns(self.closed, (j, k), "C_closed")} for j, k in self.pairs()]
 
 
-@dataclass(frozen=True)
+@dataclass
 class TangleRecord:
     """Per-qubit one-vs-rest tangle tau_j and CKW pair sum S_j.
 
@@ -158,28 +162,22 @@ def pair_states(state: CollisionState) -> dict[tuple[int, int], np.ndarray]:
     return {(j, k): state.reduced([j, k]) for j in range(n) for k in range(j + 1, n)}
 
 
-def concurrence_table(state: CollisionState, rhos=None) -> ConcurrenceTable:
-    """Numeric concurrence of every reduced pair of a simulator state.
-
-    ``rhos`` are the pair states from :func:`pair_states`, when already at hand.
-    """
-    rhos = pair_states(state) if rhos is None else rhos
+def concurrence_table(state: CollisionState, rhos) -> ConcurrenceTable:
+    """Numeric concurrence of every pair state ``rhos`` (see :func:`pair_states`) of ``state``."""
     return ConcurrenceTable(
         len(state.log), {pair: concurrence(rho) for pair, rho in rhos.items()}, None
     )
 
 
-def tangle_record(state: CollisionState, rhos=None, table=None) -> TangleRecord:
+def tangle_record(state: CollisionState, rhos, table: ConcurrenceTable) -> TangleRecord:
     """tau_j and the CKW sum S_j of every qubit, from one reduction per pair.
 
-    ``rhos`` and ``table`` are the pair states and their concurrence table,
-    when already at hand.  S_j adds C(rho_jk)^2 in k order, as
-    :func:`ckw_sum` does; for k < j the pair state is rho_kj with its
-    qubits exchanged, and its concurrence is taken anew, because the
-    numeric concurrence is not symmetric under the exchange to the last bit.
+    ``rhos`` and ``table`` are the pair states and their concurrence table.
+    S_j adds C(rho_jk)^2 in k order, as :func:`ckw_sum` does; for k < j the
+    pair state is rho_kj with its qubits exchanged, and its concurrence is
+    taken anew, because the numeric concurrence is not symmetric under the
+    exchange to the last bit.
     """
-    rhos = pair_states(state) if rhos is None else rhos
-    table = concurrence_table(state, rhos) if table is None else table
     n = state.num_qubits
     entries = {}
     for j in range(n):
@@ -211,15 +209,15 @@ def entanglement_tables(
     table = concurrence_table(state, rhos)
     record = tangle_record(state, rhos, table)
     n, angle = table.n, state.angle
-    if not (one_zero_start(system, reservoir) and state.log == list(range(1, n + 1))):
-        return table, record
-    want = closed_form_concurrences(n, state.n_reservoir, angle).entries
-    closed = {pair: (want[pair], abs(c - want[pair])) for pair, c in table.entries.items()}
-    tangles = {}
-    for j, (tau, s) in record.entries.items():
-        w = closed_tangle(j, n, angle)
-        tangles[j] = (w, max(abs(tau - w), abs(s - w)))
-    return ConcurrenceTable(n, table.entries, closed), TangleRecord(record.entries, tangles)
+    if one_zero_start(system, reservoir) and state.log == list(range(1, n + 1)):
+        table.closed, record.closed = {}, {}
+        for pair, c in table.entries.items():
+            w = closed_pair_concurrence(*pair, n, angle)
+            table.closed[pair] = (w, abs(c - w))
+        for j, (tau, s) in record.entries.items():
+            w = closed_tangle(j, n, angle)
+            record.closed[j] = (w, max(abs(tau - w), abs(s - w)))
+    return table, record
 
 
 def closed_pair_concurrence(j: int, k: int, n: int, angle: SwapAngle) -> float:
@@ -238,7 +236,7 @@ def closed_form_concurrences(n: int, n_reservoir: int, angle: SwapAngle) -> Conc
     """Full closed-form table for all pairs 0 <= j < k <= N after n collisions.
 
     The forms hold for the |1>/|0> start only; :func:`entanglement_tables`
-    applies them to a run after checking that with :func:`one_zero_start`.
+    attaches them to a run after checking that with :func:`one_zero_start`.
     """
     if not 0 <= n <= n_reservoir:
         raise ValueError(f"collision count {n} out of range 0..{n_reservoir}")
@@ -263,13 +261,8 @@ def closed_tangle(j: int, n: int, angle: SwapAngle) -> float:
 def total_tangle_sum(n_reservoir: int, angle: SwapAngle) -> float:
     """Sum of squared concurrences over all pairs after the full N-collision run.
 
-    Computed as half the sum of the per-qubit CKW sums, which is O(N);
-    approaches 2 as N grows along the best-homogenization schedule.
+    Half the sum of the per-qubit CKW sums, each of which is its closed
+    tangle, so O(N); approaches 2 as N grows along the best-homogenization
+    schedule.
     """
-    c2 = angle.c**2
-    s2 = angle.s**2
-    n = n_reservoir
-    total = 0.5 * 4.0 * c2**n * (1.0 - c2**n)
-    a = np.full(n, s2) * np.power(c2, np.arange(n))
-    total += 0.5 * float(np.sum(4.0 * a * (1.0 - a)))
-    return total
+    return 0.5 * sum(closed_tangle(j, n_reservoir, angle) for j in range(n_reservoir + 1))

@@ -31,6 +31,7 @@ from .bloch import (
 
 KET_ZERO = np.array([1.0, 0.0], dtype=complex)
 KET_ONE = np.array([0.0, 1.0], dtype=complex)
+CONCURRENCE_FLOOR = 1e-7  # entanglement.concurrence reads any C below it as 0.0
 
 
 class CheckFailure(Exception):
@@ -331,33 +332,82 @@ def check_collision_marginal_consistency(rng, quick) -> str:
     return f"max marginal deviation {worst:.2e}"
 
 
-def check_collision_sector_conservation(rng, quick) -> str:
-    n = 6
-    angle = _random_angle(rng)
-    state = col.init_pure(KET_ONE, KET_ZERO, n, angle)
-    for k in range(1, n + 1):
-        state = state.collide(k)
-        es = col.to_excitation(state, tol=0.0)  # exact sector membership
-        _require(es.amplitudes.size == n + 1, "unexpected sector size")
-    return "one-excitation sector preserved exactly"
+def check_collision_sector(rng, quick) -> str:
+    """The |1>/|0> sector run f_j against the full vector, from every start.
 
-
-def check_collision_fast_path(rng, quick) -> str:
-    worst = 0.0
+    In the frame where the pure reservoir ket xi is |0>, a run from psi keeps
+    the vacuum plus beta = <xi_perp|psi> times the f_j of the same order, so
+    C_jk = 2|f_j||f_k|(1 - <xi|rho|xi>) from any system state rho, and
+    tau_j = 4 p_j (|beta|^2 - p_j) with p_j = |beta f_j|^2 from a pure one.
+    """
     n = 8 if quick else 12
     angle = _random_angle(rng)
     state = col.init_pure(KET_ONE, KET_ZERO, n, angle)
-    es = col.ExcitationState.initial(n + 1)
-    for k in range(1, n + 1):
-        state = state.collide(k)
-        es = col.excitation_collide(es, k, angle)
+    one_hot = [1 << (n - j) for j in range(n + 1)]
+    worst_amp = worst_z = 0.0
+    for step in range(1, n + 1):
+        state = state.collide(step)
+        rest = state.vector.copy()
+        rest[one_hot] = 0.0
+        _require(not rest.any(), f"weight outside the sector after collision {step}")
+        f = col.excitation_forward_run(n, angle, range(1, step + 1)).amplitudes
+        worst_amp = max(worst_amp, float(np.max(np.abs(state.vector[one_hot] - f))))
         for j in range(n + 1):
             rho = state.reduced(j)
             z_full = float((rho[0, 0] - rho[1, 1]).real)
-            z_fast = 1.0 - 2.0 * abs(es.amplitudes[j]) ** 2
-            worst = max(worst, abs(z_full - z_fast))
-    _require(worst <= 1e-12, f"fast path deviates from full vector by {worst:.3e}")
-    return f"max z deviation {worst:.2e}"
+            worst_z = max(worst_z, abs(z_full - (1.0 - 2.0 * abs(f[j]) ** 2)))
+    _require(worst_amp <= 1e-12, f"sector amplitudes deviate by {worst_amp:.3e}")
+    _require(worst_z <= 1e-12, f"sector z deviates from the full vector by {worst_z:.3e}")
+
+    n = 9
+    angle = hmg.SwapAngle.from_sin_squared(0.1)
+    forward = col.init_pure(KET_ONE, KET_ZERO, n, angle).run()
+    f = col.excitation_forward_run(n, angle).amplitudes
+    worst_unwind = worst_off = 0.0
+    for trial in range(200 if quick else 1000):
+        order = [int(q) + 1 for q in rng.permutation(n)]
+        z = safe.unwind(forward, 0, order).z
+        _require(-1.0 - 1e-12 <= z <= 1.0 + 1e-12, f"z out of range: {z}")
+        worst_unwind = max(worst_unwind, abs(z - safe.unwind_z_excitation(f, 0, order, angle)))
+        if trial < 10:
+            vec = forward.vector.copy()
+            for q in order:
+                col.apply_two_qubit(vec, n + 1, angle, 0, q, inverse=True)
+            for j in range(n + 1):
+                worst_off = max(worst_off, abs(col.reduced_from_vector(vec, n + 1, [j])[0, 1]))
+    _require(worst_unwind <= 1e-12, f"sector unwinding deviates by {worst_unwind:.3e}")
+    _require(worst_off <= 1e-12, f"unwound states not diagonal: off-diag {worst_off:.3e}")
+
+    worst_c = worst_tau = 0.0
+    for draw in range(4 if quick else 6):
+        n = int(rng.integers(1, 7))
+        angle, xi = _random_angle(rng), _random_ket(rng)
+        order = [int(k) + 1 for k in rng.permutation(n)[: rng.integers(0, n + 1)]]
+        f = np.abs(col.excitation_forward_run(n, angle, order).amplitudes)
+        # an uncollided qubit is still xi, in a product with the rest (uncollided_product)
+        touched = [0, *sorted(order)]
+        pairs = [(j, k) for j in touched for k in touched if j < k]
+        if draw % 2:
+            rho0 = random_state(rng)
+            weight = 1.0 - float(np.vdot(xi, rho0.density() @ xi).real)
+            rhos = [col.run_mixed_system(rho0, xi, n, angle, pair, order) for pair in pairs]
+        else:
+            psi = _random_ket(rng)
+            weight = 1.0 - abs(np.vdot(xi, psi)) ** 2
+            state = col.run_pure(psi, xi, n, angle, order)
+            rhos = [state.reduced(pair) for pair in pairs]
+            for j, p in enumerate(weight * f**2):
+                tau = ent.tangle_one_vs_rest(state, j)
+                worst_tau = max(worst_tau, abs(tau - 4.0 * p * (weight - p)))
+        for (j, k), rho in zip(pairs, rhos):
+            c, want = ent.concurrence(rho), 2.0 * f[j] * f[k] * weight
+            # the reading is 0.0 below the floor, and either value right at it
+            err = min(abs(c - want), c) if want < 1.01 * CONCURRENCE_FLOOR else abs(c - want)
+            worst_c = max(worst_c, err)
+    _require(worst_c <= 1e-8, f"pair concurrence deviates from the sector form by {worst_c:.3e}")
+    _require(worst_tau <= 1e-8, f"tangle deviates from the sector form by {worst_tau:.3e}")
+    return (f"amplitude {worst_amp:.2e}, z {worst_z:.2e}, unwind {worst_unwind:.2e}, "
+            f"off-diag {worst_off:.2e}, C {worst_c:.2e}, tau {worst_tau:.2e}")
 
 
 def check_collision_uncollided_product(rng, quick) -> str:
@@ -499,40 +549,6 @@ def check_safe_reversibility(rng, quick) -> str:
     worst = float(np.max(np.abs(vec - initial.vector)))
     _require(worst <= 1e-9, f"exact reverse failed to restore the state ({worst:.3e})")
     return f"max amplitude error {worst:.2e}"
-
-
-def check_safe_sector_diagonality(rng, quick) -> str:
-    n = 6
-    angle = hmg.SwapAngle.from_sin_squared(0.1)
-    forward = col.init_pure(KET_ONE, KET_ZERO, n, angle).run()
-    worst_off = 0.0
-    for _ in range(10):
-        order = [int(q) + 1 for q in rng.permutation(n)]
-        trial = safe.unwind(forward, 0, order)
-        _require(-1.0 - 1e-12 <= trial.z <= 1.0 + 1e-12, f"z out of range: {trial.z}")
-        vec = forward.vector.copy()
-        for q in order:
-            col.apply_two_qubit(vec, n + 1, angle, 0, q, inverse=True)
-        for j in range(n + 1):
-            rho = col.reduced_from_vector(vec, n + 1, [j])
-            worst_off = max(worst_off, abs(rho[0, 1]))
-    _require(worst_off <= 1e-12, f"reduced states not diagonal: off-diag {worst_off:.3e}")
-    return f"max off-diagonal {worst_off:.2e}"
-
-
-def check_safe_fast_path_spot(rng, quick) -> str:
-    n = 9
-    angle = hmg.SwapAngle.from_sin_squared(0.1)
-    forward_full = col.init_pure(KET_ONE, KET_ZERO, n, angle).run()
-    forward_fast = col.excitation_forward_run(n, angle)
-    worst = 0.0
-    for _ in range(200 if quick else 1000):
-        order = [int(q) + 1 for q in rng.permutation(n)]
-        z_full = safe.unwind(forward_full, 0, order).z
-        z_fast = safe.unwind_z_excitation(forward_fast.amplitudes, 0, order, angle)
-        worst = max(worst, abs(z_full - z_fast))
-    _require(worst <= 1e-12, f"fast path deviates from full vector by {worst:.3e}")
-    return f"max z deviation {worst:.2e}"
 
 
 def check_safe_determinism(rng, quick) -> str:

@@ -15,7 +15,6 @@ from qhog.collision import (
     reduced_from_vector,
     run_mixed_system,
     run_pure,
-    to_excitation,
 )
 from qhog.homogenizer import SwapAngle, closed_form_system, partial_swap_unitary, step_system
 from qhog.linalg import hermitian_eig, tensor_product
@@ -387,13 +386,18 @@ def test_excitation_initial_and_collisions():
 
 
 def test_excitation_matches_full_vector():
-    n = 7
+    n, order = 7, [3, 7, 1, 5]
+    one_hot = [1 << (n - j) for j in range(n + 1)]
     state = init_pure(KET1, KET0, n, ANGLE)
-    es = ExcitationState.initial(n + 1)
-    for k in range(1, n + 1):
+    for step, k in enumerate(order, 1):
         state = state.collide(k)
-        es = excitation_collide(es, k, ANGLE)
-        assert np.allclose(to_excitation(state).amplitudes, es.amplitudes, atol=1e-12)
+        es = excitation_forward_run(n, ANGLE, order[:step])
+        assert np.allclose(state.vector[one_hot], es.amplitudes, atol=1e-12)
+        rest = state.vector.copy()
+        rest[one_hot] = 0.0
+        assert not rest.any()
+    with pytest.raises(ValueError):
+        excitation_forward_run(n, ANGLE, [1, 1])
 
 
 def test_excitation_inverse_round_trip():
@@ -401,12 +405,6 @@ def test_excitation_inverse_round_trip():
     for k in range(5, 0, -1):
         es = excitation_collide(es, k, ANGLE, inverse=True)
     assert np.allclose(es.amplitudes, [1, 0, 0, 0, 0, 0], atol=1e-12)
-
-
-def test_to_excitation_rejects_other_sectors():
-    state = init_pure(PLUS, KET0, 2, ANGLE).run()
-    with pytest.raises(ValueError):
-        to_excitation(state)
 
 
 def test_snapshot_schema():

@@ -149,11 +149,23 @@ def test_closed_form_table_matches_simulator():
             if step:
                 state = state.collide(step)
             table = closed_form_concurrences(step, n, angle)
-            numeric = concurrence_table(state)
+            numeric = concurrence_table(state, pair_states(state))
             for pair in table.pairs():
                 assert numeric.entries[pair] == pytest.approx(
                     table.entries[pair], abs=1e-8
                 ), (pair, step, s2)
+
+
+def test_concurrence_floor():
+    # cos t|01> + sin t|10> has C = sin 2t; spin-flip eigenvalues below 1e-14
+    # read as zeros, so every C below 1e-7 comes out as exactly 0.0
+    def pair(c):
+        ket = np.array([0.0, math.cos(c / 2), math.sin(c / 2), 0.0], dtype=complex)
+        return np.outer(ket, ket.conj())
+
+    assert concurrence(pair(5e-8)) == 0.0
+    assert concurrence(pair(1e-7)) == 0.0
+    assert concurrence(pair(2e-7)) == pytest.approx(2e-7, rel=1e-12)
 
 
 def test_closed_form_regime_guard():
@@ -178,7 +190,7 @@ def test_total_tangle_matches_simulator():
     n = 10
     angle = SwapAngle.from_sin_squared(0.05)
     state = init_pure(KET1, KET0, n, angle).run()
-    numeric = sum(v**2 for v in concurrence_table(state).entries.values())
+    numeric = sum(v**2 for v in concurrence_table(state, pair_states(state)).entries.values())
     assert total_tangle_sum(n, angle) == pytest.approx(numeric, abs=1e-9)
 
 
@@ -215,13 +227,14 @@ def test_table_and_record_serialization():
     n = 3
     angle = SwapAngle.from_sin_squared(0.1)
     state = init_pure(KET1, KET0, n, angle).run()
-    table = concurrence_table(state)
+    rhos = pair_states(state)
+    table = concurrence_table(state, rhos)
     lines = table.to_csv().strip().split("\n")
     assert lines[0] == "j,k,C"
     assert len(lines) == 1 + 6  # all pairs of 4 qubits
     assert table.to_json_records()[0]["j"] == 0
 
-    record = tangle_record(state)
+    record = tangle_record(state, rhos, table)
     lines = record.to_csv().strip().split("\n")
     assert lines[0] == "j,tau,S"
     assert len(lines) == 1 + 4
@@ -247,9 +260,7 @@ def test_pair_path_equals_per_call_definitions():
         assert np.array_equal(rho.view(np.uint64), state.reduced([j, k]).view(np.uint64))
     table = concurrence_table(state, rhos)
     assert table.entries == old_table
-    assert concurrence_table(state).entries == old_table
     assert tangle_record(state, rhos, table).entries == old_record
-    assert tangle_record(state).entries == old_record
     assert max(old_table.values()) > 0.1
 
 

@@ -23,8 +23,7 @@ CHECK_NAMES = [
     "homogenizer.budget_soundness",
     "collision.norm_conservation",
     "collision.marginal_consistency",
-    "collision.sector_conservation",
-    "collision.fast_path",
+    "collision.sector",
     "collision.uncollided_product",
     "collision.grown_product",
     "entanglement.ckw_saturation",
@@ -34,8 +33,6 @@ CHECK_NAMES = [
     "entanglement.vanishing",
     "entanglement.local_unitary_invariance",
     "safe.reversibility",
-    "safe.sector_diagonality",
-    "safe.fast_path_spot",
     "safe.determinism",
 ]
 
