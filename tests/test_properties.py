@@ -1,10 +1,14 @@
 """Every documented invariant, via the shared verify suites."""
 
+import math
+
+import numpy as np
 import pytest
 
 import qhog.homogenizer
-from qhog import verify
-from qhog.homogenizer import AffineSuperOp
+from qhog import collision as col
+from qhog import safe, verify
+from qhog.homogenizer import AffineSuperOp, SwapAngle
 
 # the names and order `qhog verify` prints; one check_<layer>_<name> function each
 CHECK_NAMES = [
@@ -43,8 +47,76 @@ def test_check_names_and_order_are_pinned():
         assert fn.__name__ == "check_" + name.replace(".", "_")
 
 
-@pytest.mark.parametrize("name", sorted(verify.ALL_CHECKS))
+KET_ZERO = np.array([1.0, 0.0], dtype=complex)
+KET_ONE = np.array([0.0, 1.0], dtype=complex)
+
+
+def _sector_conservation(rng):
+    n = 6
+    angle = SwapAngle(rng.uniform(0.0, math.pi / 2))
+    state = col.init_pure(KET_ONE, KET_ZERO, n, angle)
+    one_hot = [1 << (n - j) for j in range(n + 1)]
+    for k in range(1, n + 1):
+        state = state.collide(k)
+        rest = state.vector.copy()
+        rest[one_hot] = 0.0
+        assert not rest.any(), f"weight outside the sector after collision {k}"
+
+
+def _fast_path(rng):
+    n = 12
+    angle = SwapAngle(rng.uniform(0.0, math.pi / 2))
+    state = col.init_pure(KET_ONE, KET_ZERO, n, angle)
+    for k in range(1, n + 1):
+        state = state.collide(k)
+        f = col.excitation_forward_run(n, angle, range(1, k + 1)).amplitudes
+        for j in range(n + 1):
+            rho = state.reduced(j)
+            z_full = float((rho[0, 0] - rho[1, 1]).real)
+            assert abs(z_full - (1.0 - 2.0 * abs(f[j]) ** 2)) <= 1e-12
+
+
+def _sector_diagonality(rng):
+    n = 6
+    angle = SwapAngle.from_sin_squared(0.1)
+    forward = col.init_pure(KET_ONE, KET_ZERO, n, angle).run()
+    for _ in range(10):
+        order = [int(q) + 1 for q in rng.permutation(n)]
+        z = safe.unwind(forward, 0, order).z
+        assert -1.0 - 1e-12 <= z <= 1.0 + 1e-12, f"z out of range: {z}"
+        vec = forward.vector.copy()
+        for q in order:
+            col.apply_two_qubit(vec, n + 1, angle, 0, q, inverse=True)
+        for j in range(n + 1):
+            assert abs(col.reduced_from_vector(vec, n + 1, [j])[0, 1]) <= 1e-12
+
+
+def _fast_path_spot(rng):
+    n = 9
+    angle = SwapAngle.from_sin_squared(0.1)
+    forward = col.init_pure(KET_ONE, KET_ZERO, n, angle).run()
+    f = col.excitation_forward_run(n, angle).amplitudes
+    for _ in range(1000):
+        order = [int(q) + 1 for q in rng.permutation(n)]
+        z_full = safe.unwind(forward, 0, order).z
+        assert abs(z_full - safe.unwind_z_excitation(f, 0, order, angle)) <= 1e-12
+
+
+# the sector-vs-full-vector assertions that `verify` runs inside collision.sector,
+# each on its own instance here so that a failure names the property it breaks
+SECTOR_CASES = {
+    "collision.sector_conservation": _sector_conservation,
+    "collision.fast_path": _fast_path,
+    "safe.sector_diagonality": _sector_diagonality,
+    "safe.fast_path_spot": _fast_path_spot,
+}
+
+
+@pytest.mark.parametrize("name", sorted([*verify.ALL_CHECKS, *SECTOR_CASES]))
 def test_invariant_suite(name):
+    if name in SECTOR_CASES:
+        SECTOR_CASES[name](np.random.default_rng(0))
+        return
     result = verify.run_check(name, seed=0, quick=False)
     assert result.ok, f"{name}: {result.detail}"
 
