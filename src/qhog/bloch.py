@@ -9,17 +9,25 @@ half-radius convention, so keep that in mind when comparing.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from .linalg import I2, PAULIS, is_hermitian
 
 BLOCH_RADIUS = 0.5
 _RADIUS_TOL = 1e-12
+_PURE_TOL = 1e-9
 
 
-def _lengths(w: np.ndarray) -> np.ndarray:
-    """|w| of each row of ``w``, through the dot product that ``np.linalg.norm`` takes."""
-    return np.sqrt(np.matmul(w[..., None, :], w[..., :, None]))[..., 0, 0]
+def _length(x, y, z):
+    """sqrt((x*x + y*y) + z*z): every Bloch length, summed in this one order.
+
+    Python floats give a float and numpy columns one length per row, alike to the bit on any CPU.
+    """
+    s = (x * x + y * y) + z * z
+    return np.sqrt(s) if isinstance(s, np.ndarray) else math.sqrt(s)
 
 
 def _checked_bloch(w, rows: bool = False) -> np.ndarray:
@@ -30,7 +38,7 @@ def _checked_bloch(w, rows: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise ValueError(f"Bloch vector components must be finite, got {w.tolist()}")
     with np.errstate(over="ignore"):  # components near 1e154 square to inf
-        r = float(_lengths(w).max() if rows else np.linalg.norm(w))
+        r = float(_length(*np.moveaxis(w, -1, 0)).max()) if rows else _length(*w.tolist())
     if r > BLOCH_RADIUS + _RADIUS_TOL:
         raise ValueError(f"Bloch vector length {r} exceeds 1/2")
     return w
@@ -52,7 +60,7 @@ def bloch_from_density(rho) -> np.ndarray:
     if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
         raise ValueError("density matrix does not have unit trace")
     w = np.array([0.5 * np.trace(rho @ p).real for p in PAULIS])
-    if float(np.linalg.norm(w)) > BLOCH_RADIUS + 1e-9:
+    if _length(*w.tolist()) > BLOCH_RADIUS + 1e-9:
         raise ValueError("matrix is not positive semidefinite")
     return w
 
@@ -96,22 +104,22 @@ class QubitState:
         return np.array([1.0, self.w[0], self.w[1], self.w[2]])
 
     def purity_radius(self) -> float:
-        return float(np.linalg.norm(self.w))
+        return _length(*self.w.tolist())
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
-        return abs(self.purity_radius() - BLOCH_RADIUS) <= tol
+    def is_pure(self) -> bool:
+        return abs(self.purity_radius() - BLOCH_RADIUS) <= _PURE_TOL
 
 
 def trace_distance(a: QubitState, b: QubitState) -> float:
     """Tr|rho_a - rho_b| = 2|w_a - w_b|; between 0 and 2."""
-    return 2.0 * float(np.linalg.norm(a.w - b.w))
+    return 2.0 * _length(*(a.w - b.w).tolist())
 
 
 def random_state(rng: np.random.Generator) -> QubitState:
     """Bloch vector uniform in the ball of radius 1/2 (rejection sampling)."""
     while True:
         w = rng.uniform(-BLOCH_RADIUS, BLOCH_RADIUS, size=3)
-        if np.linalg.norm(w) <= BLOCH_RADIUS:
+        if _length(*w.tolist()) <= BLOCH_RADIUS:
             return QubitState(w)
 
 
@@ -119,21 +127,24 @@ def random_pure_state(rng: np.random.Generator) -> QubitState:
     """Bloch vector uniform on the sphere |w| = 1/2."""
     while True:
         g = rng.normal(size=3)
-        r = np.linalg.norm(g)
+        r = _length(*g.tolist())
         if r > 1e-12:
             return QubitState(BLOCH_RADIUS * g / r)
 
 
-def ket_from_bloch(w, tol: float = 1e-9) -> np.ndarray:
-    """Two-component unit vector for a pure state (|w| = 1/2 required)."""
-    w = np.asarray(w, dtype=float)
-    r = float(np.linalg.norm(w))
-    if abs(r - BLOCH_RADIUS) > tol:
+def ket_from_bloch(w) -> np.ndarray:
+    """Two-component unit vector for a pure state (|w| = 1/2 required).
+
+    The angles come from ``math``/``cmath``: numpy's ufuncs pick a SIMD loop
+    by CPU feature, and their last bits follow it.
+    """
+    x, y, z = np.asarray(w, dtype=float).tolist()
+    r = _length(x, y, z)
+    if not abs(r - BLOCH_RADIUS) <= _PURE_TOL:  # NaN too
         raise ValueError(f"Bloch vector of length {r} is not pure")
-    unit = w / r
-    theta = np.arccos(np.clip(unit[2], -1.0, 1.0))
-    phi = np.arctan2(unit[1], unit[0])
-    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], dtype=complex)
+    theta = math.acos(min(max(z / r, -1.0), 1.0))
+    phi = math.atan2(y / r, x / r)
+    return np.array([math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2)])
 
 
 def bloch_from_ket(ket) -> np.ndarray:

@@ -186,7 +186,7 @@ def cmd_simulate(args) -> int:
     order = _parse_order(args.order)
     reservoir = parse_ket(args.reservoir)
     system_state = parse_state(args.system)
-    if system_state.is_pure(1e-9):
+    if system_state.is_pure():
         state = run_pure(parse_ket(args.system), reservoir, args.n, angle, order)
         rho = state.reduced(0)
     elif args.format == "csv":

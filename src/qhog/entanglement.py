@@ -23,9 +23,11 @@ from .linalg import SY, hermitian_eig, is_hermitian, psd_sqrt, tensor_product
 SIGMA_YY = tensor_product(SY, SY)
 
 _ROUNDOFF = 1e-10
+# how far from Hermitian and from unit trace a concurrence input may be
+_STATE_TOL = 1e-8
 
 
-def concurrence(rho, tol: float = 1e-8) -> float:
+def concurrence(rho) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
     Uses the Hermitian form: the eigenvalues of
@@ -40,11 +42,11 @@ def concurrence(rho, tol: float = 1e-8) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho, _STATE_TOL):
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
+    if abs(np.trace(rho).real - 1.0) > _STATE_TOL:
         raise ValueError("density matrix does not have unit trace")
-    root = psd_sqrt(rho, tol)
+    root = psd_sqrt(rho, _STATE_TOL)
     m = root @ SIGMA_YY @ rho.conj() @ SIGMA_YY @ root
     vals, _ = hermitian_eig(m)
     if float(vals[-1]) < -_ROUNDOFF:

@@ -23,11 +23,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import (QubitState, _checked_bloch, _lengths, density_from_bloch,
-                    random_pure_state, random_state)
+from .bloch import (QubitState, _checked_bloch, _length, density_from_bloch, random_pure_state,
+                    random_state)
 from .linalg import is_unitary, partial_trace, tensor_product, trace_norm
 
 log = logging.getLogger(__name__)
+
+# the longest trajectory run_trajectory records; a million steps hold about 700 MB
+MAX_STEPS = 1 << 20
 
 SWAP = np.array(
     [
@@ -64,14 +67,6 @@ class SwapAngle:
 
     def __setattr__(self, name, value):
         raise AttributeError("SwapAngle is immutable")
-
-    def __getstate__(self):
-        return (self.eta, self.s, self.c)
-
-    def __setstate__(self, state):
-        # bypass the immutability guard; keeps pickled copies bit-identical
-        for name, value in zip(("eta", "s", "c"), state):
-            object.__setattr__(self, name, value)
 
     def __repr__(self):
         return f"SwapAngle(eta={self.eta:.6g})"
@@ -205,8 +200,8 @@ class Trajectory:
 
 def run_trajectory(rho0: QubitState, xi: QubitState, angle: SwapAngle, n_steps: int) -> Trajectory:
     """Iterate the one-step maps on floats, recording distances to xi after each collision."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    if not 1 <= n_steps <= MAX_STEPS:
+        raise ValueError(f"a trajectory takes 1 to {MAX_STEPS} steps, got {n_steps}")
     weights = _weights(angle)
     w, t = rho0.w.tolist(), xi.w.tolist()
     systems, reservoirs = [w], [t]
@@ -215,9 +210,7 @@ def run_trajectory(rho0: QubitState, xi: QubitState, angle: SwapAngle, n_steps: 
         w = _step(w, t, *weights)
         systems.append(w)
     states = _checked_bloch([systems, reservoirs], rows=True)  # QubitState's checks, once
-    d = np.zeros((2, n_steps + 1, 4))  # 16-byte aligned rows: SSE2 dot kernels sum by alignment
-    d[..., :3] = states - xi.w
-    d_system, d_reservoir = 2.0 * _lengths(d[..., :3])
+    d_system, d_reservoir = 2.0 * _length(*np.moveaxis(states - xi.w, -1, 0))
     return Trajectory(xi, angle, states[0], states[1], d_system, d_reservoir)
 
 
@@ -251,34 +244,27 @@ class UniversalityResult(NamedTuple):
     max_residual: float
 
 
-def check_universality(
-    u,
-    sample_count: int = 64,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> UniversalityResult:
+def check_universality(u) -> UniversalityResult:
     """Test whether a two-qubit unitary leaves every identical pair unchanged.
 
-    Samples ``sample_count`` random pure and as many random mixed qubit
-    states rho and checks that both partial traces of U (rho x rho) U+
-    equal rho.  The residual is the largest trace-norm deviation seen.
+    Samples 64 random pure and as many random mixed qubit states rho (seed
+    0) and checks that both partial traces of U (rho x rho) U+ equal rho
+    within 1e-9.  The residual is the largest trace-norm deviation seen.
     Partial swaps pass for every angle; generic unitaries fail.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {u.shape}")
-    if not is_unitary(u, 1e-10):
+    if not is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
-    if sample_count < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
-    samples = [random_pure_state(rng) for _ in range(sample_count)]
-    samples += [random_state(rng) for _ in range(sample_count)]
+    samples = [random_pure_state(rng) for _ in range(64)]
+    samples += [random_state(rng) for _ in range(64)]
     for state in samples:
         rho = density_from_bloch(state.w)
         out = u @ tensor_product(rho, rho) @ u.conj().T
         for qubit in (0, 1):
             resid = trace_norm(partial_trace(out, [qubit]) - rho)
             worst = max(worst, resid)
-    return UniversalityResult(worst <= tol, worst)
+    return UniversalityResult(worst <= 1e-9, worst)

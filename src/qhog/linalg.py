@@ -3,8 +3,8 @@
 Everything here operates on plain numpy arrays: operators are square
 complex matrices, multi-qubit pure states are flat amplitude vectors of
 length 2**n.  Qubit 0 is the most significant bit of a basis index, so
-``np.kron(a, b)`` puts ``a`` on qubit 0.  All tolerance thresholds are
-explicit parameters.
+``np.kron(a, b)`` puts ``a`` on qubit 0.  Every tolerance is 1e-10
+unless the caller passes another.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ def is_hermitian(m, tol: float = 1e-10) -> bool:
     return float(np.max(np.abs(m - m.conj().T))) <= tol
 
 
-def is_unitary(m, tol: float = 1e-10) -> bool:
+def is_unitary(m) -> bool:
     m = _as_square(m)
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))) <= tol
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))) <= 1e-10
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -141,7 +141,7 @@ def psd_sqrt(rho, tol: float = 1e-10) -> np.ndarray:
     return (vecs * root) @ vecs.conj().T
 
 
-def trace_norm(a, tol: float = 1e-10) -> float:
+def trace_norm(a) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    vals, _ = hermitian_eig(a, tol)
+    vals, _ = hermitian_eig(a)
     return float(np.sum(np.abs(vals)))

@@ -99,3 +99,5 @@ def test_ket_bloch_round_trip():
         assert np.allclose(bloch_from_ket(ket_from_bloch(w)), w, atol=1e-12)
     with pytest.raises(ValueError):
         ket_from_bloch([0.1, 0, 0])  # mixed state has no ket
+    with pytest.raises(ValueError):
+        ket_from_bloch([np.nan, 0, 0.5])

@@ -353,6 +353,7 @@ def test_invalid_values_exit_cleanly(capsys, tmp_path):
         ),
         ["bounds", "--delta", "1e-300"],
         ["bounds", "--delta", "5e-324"],
+        ["homogenize", "--delta", "1e-7"],  # a trajectory of 336,224,849 steps
         ["homogenize", "--delta", "0.2", "--system", "nan,0,0"],
         ["simulate", "--eta", "0.3", "--n", "3", "--system", "nan,0,0"],
         ["entangle", "--eta", "0.3", "--n", "3", "--reservoir", "0,inf,0"],
@@ -463,9 +464,8 @@ def _avx512_groups() -> str:
 @pytest.mark.parametrize("coretype,no_avx512", [("Haswell", True), ("Zen", False)])
 def test_outputs_pinned_on_other_cpu_kernels(tmp_path, coretype, no_avx512):
     # the README's entangle line and the mixed simulate reduce pair and
-    # one-qubit states, and the trajectory takes norms; their bytes must not
-    # depend on the kernel the CPU gets (the trajectory's start is on the z
-    # axis, where every kernel gives the same norms)
+    # one-qubit states, and the trajectory takes lengths; their bytes must not
+    # depend on the kernel the CPU gets
     src = str(Path(qhog.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=path)
@@ -481,6 +481,32 @@ def test_outputs_pinned_on_other_cpu_kernels(tmp_path, coretype, no_avx512):
             if suffix != "stderr":
                 data = (tmp_path / f"out{suffix}").read_bytes()
                 assert hashlib.sha256(data).hexdigest() == digest, (argv, suffix)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the kernel settings name x86-64 CPUs")
+def test_bloch_lengths_and_kets_do_not_depend_on_the_kernel():
+    # an off-axis trajectory takes Bloch lengths, and a wx,wy,wz system takes
+    # a ket; neither may leave its bits to the BLAS kernel or numpy's SIMD loops
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    settings = [{"OPENBLAS_CORETYPE": coretype} for coretype in ("SkylakeX", "Haswell", "Prescott")]
+    settings.append({"NPY_DISABLE_CPU_FEATURES": _avx512_groups()})
+    for argv in (
+        ["homogenize", "--delta", "0.02", "--system", "0.3,0.2,-0.1", "--reservoir", "plus"],
+        ["simulate", "--eta", "0.3", "--n", "4", "--system", "0.05,0.15,0.4743416490252569",
+         "--format", "json"],
+    ):
+        runs = set()
+        for setting in settings:
+            proc = subprocess.run([sys.executable, "-m", "qhog", *argv], capture_output=True,
+                                  env={**base, **setting}, timeout=120)
+            # exit 1: off the z axis, the trajectory misses its delta budget
+            assert proc.returncode in (0, 1) and proc.stdout, (argv, setting, proc.stderr)
+            runs.add((proc.returncode, proc.stdout, proc.stderr))
+        assert len(runs) == 1, argv
 
 
 def test_verify_subset(capsys):

@@ -39,24 +39,14 @@ def test_swap_angle_canonicalization():
     assert folded.s == pytest.approx(abs(math.sin(2.0)), abs=1e-15)
     assert folded.c == pytest.approx(abs(math.cos(2.0)), abs=1e-15)
     assert folded.s**2 + folded.c**2 == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(AttributeError):
+        folded.eta = 0.0
 
 
 def test_swap_angle_rejects_non_finite():
     for eta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             SwapAngle(eta)
-
-
-def test_swap_angle_pickles_exactly():
-    # the parallel sweeps ship angles to worker processes; the cached
-    # sin/cos must survive bit-identically
-    import pickle
-
-    angle = SwapAngle(1.2345)
-    copy = pickle.loads(pickle.dumps(angle))
-    assert (copy.eta, copy.s, copy.c) == (angle.eta, angle.s, angle.c)
-    with pytest.raises(AttributeError):
-        copy.eta = 0.0
 
 
 def test_partial_swap_limits():
@@ -69,7 +59,8 @@ def test_partial_swap_entries():
     p = partial_swap_unitary(angle)
     assert p[1, 1] == pytest.approx(math.sqrt(0.9))
     assert p[1, 2] == pytest.approx(1j * math.sqrt(0.1))
-    assert is_unitary(p, 1e-12)
+    assert is_unitary(p)
+    assert np.max(np.abs(p.conj().T @ p - np.eye(4))) <= 1e-12
 
 
 def test_step_system_fixed_point():
@@ -254,8 +245,8 @@ def test_run_trajectory_bitwise_matches_step_loop(eta):
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the kernel setting names an x86-64 CPU")
 def test_run_trajectory_bitwise_matches_step_loop_on_sse2_kernel():
-    # SSE2 dot kernels sum a 3-vector in an order set by its alignment, so the
-    # stacked distances must see each row where a fresh vector would lie
+    # the stacked distances and trace_distance sum each length in one fixed
+    # order, so an SSE2 BLAS kernel must not move a bit of either
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
     test = f"{__file__}::test_run_trajectory_bitwise_matches_step_loop"
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
@@ -278,9 +269,9 @@ def test_check_universality_accepts_partial_swaps():
     rng = np.random.default_rng(61)
     for _ in range(5):
         angle = SwapAngle(rng.uniform(0, math.pi / 2))
-        ok, residual = check_universality(partial_swap_unitary(angle), sample_count=16)
+        ok, residual = check_universality(partial_swap_unitary(angle))
         assert ok, residual
-    ok, residual = check_universality(np.eye(4, dtype=complex), sample_count=16)
+    ok, residual = check_universality(np.eye(4, dtype=complex))
     assert ok
 
 
@@ -288,7 +279,7 @@ def test_check_universality_rejects_cnot():
     cnot = np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
-    ok, residual = check_universality(cnot, sample_count=32)
+    ok, residual = check_universality(cnot)
     assert not ok
     assert residual > 0.1
 
