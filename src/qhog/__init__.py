@@ -1,76 +1,34 @@
-"""Quantum homogenization of a qubit by partial-swap collisions."""
+"""Quantum homogenization of a qubit by partial-swap collisions.
 
-from .bloch import QubitState, bloch_from_density, density_from_bloch, trace_distance
-from .collision import (
-    CollisionState,
-    ExcitationState,
-    excitation_collide,
-    init_pure,
-    run_mixed_system,
-    run_pure,
-)
-from .entanglement import (
-    ConcurrenceTable,
-    TangleRecord,
-    ckw_sum,
-    closed_form_concurrences,
-    concurrence,
-    tangle_one_vs_rest,
-    total_tangle_sum,
-)
-from .homogenizer import (
-    AffineSuperOp,
-    HomogenizationBudget,
-    SwapAngle,
-    Trajectory,
-    budget_from_delta,
-    check_universality,
-    closed_form_system,
-    contraction_coefficient,
-    partial_swap_unitary,
-    run_trajectory,
-    step_reservoir,
-    step_system,
-    superoperator,
-)
-from .safe import UnwindHistogram, UnwindTrial, sweep_correct, sweep_incorrect, unwind
+The names of ``__all__`` are loaded from their module on first use
+(PEP 562), so ``import qhog`` by itself imports no numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineSuperOp",
-    "CollisionState",
-    "ConcurrenceTable",
-    "ExcitationState",
-    "HomogenizationBudget",
-    "QubitState",
-    "SwapAngle",
-    "TangleRecord",
-    "Trajectory",
-    "UnwindHistogram",
-    "UnwindTrial",
-    "bloch_from_density",
-    "budget_from_delta",
-    "check_universality",
-    "ckw_sum",
-    "closed_form_concurrences",
-    "closed_form_system",
-    "concurrence",
-    "contraction_coefficient",
-    "density_from_bloch",
-    "excitation_collide",
-    "init_pure",
-    "partial_swap_unitary",
-    "run_mixed_system",
-    "run_pure",
-    "run_trajectory",
-    "step_reservoir",
-    "step_system",
-    "superoperator",
-    "sweep_correct",
-    "sweep_incorrect",
-    "tangle_one_vs_rest",
-    "total_tangle_sum",
-    "trace_distance",
-    "unwind",
-]
+_HOME = {
+    "bloch": ("QubitState", "bloch_from_density", "density_from_bloch", "trace_distance"),
+    "collision": ("CollisionState", "ExcitationState", "excitation_collide", "init_pure",
+                  "run_mixed_system", "run_pure"),
+    "entanglement": ("ConcurrenceTable", "TangleRecord", "ckw_sum", "closed_form_concurrences",
+                     "concurrence", "tangle_one_vs_rest", "total_tangle_sum"),
+    "homogenizer": ("AffineSuperOp", "HomogenizationBudget", "SwapAngle", "Trajectory",
+                    "budget_from_delta", "check_universality", "closed_form_system",
+                    "contraction_coefficient", "partial_swap_unitary", "run_trajectory",
+                    "step_reservoir", "step_system", "superoperator"),
+    "safe": ("UnwindHistogram", "UnwindTrial", "sweep_correct", "sweep_incorrect", "unwind"),
+}
+_MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -3,7 +3,7 @@
 Each subcommand reads only its own flags: homogenize --eta|--delta [--n
 --system --reservoir]; bounds --delta; simulate and entangle --eta|--delta
 --n [--system --reservoir --order]; safe --eta|--delta [--n (9) --mode
---sample --seed]; verify [--seed --quick --checks].  All but verify take
+--sample [--seed]]; verify [--seed --quick --checks].  All but verify take
 --format csv|json and --out.
 States are given either as a ket keyword (zero, one, plus) or as three
 comma-separated Bloch components in the half-radius convention.  --delta
@@ -232,8 +232,13 @@ def cmd_entangle(args) -> int:
 
 def cmd_safe(args) -> int:
     angle, _ = _resolve_angle(args)
+    if args.seed is not None and args.sample is None:
+        raise ValueError("--seed needs --sample: the full sweep draws nothing")
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
     sweep = sweep_correct if args.mode == "correct" else sweep_incorrect
-    hist = sweep(args.n, angle, sample=args.sample, seed=args.seed)
+    hist = sweep(args.n, angle, sample=args.sample, seed=seed)
     if args.format == "csv":
         _write(args.out, hist.to_csv())
     else:
@@ -322,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("correct", "incorrect"), default="correct")
     p.add_argument("--sample", type=int,
                    help="sample this many random trials instead of the full sweep")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of the sampled trials (default 0)")
 
     p = sub.add_parser("verify", help="run every invariant suite")
     p.add_argument("--seed", type=int, default=0)

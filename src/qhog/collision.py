@@ -44,7 +44,10 @@ def max_qubits() -> int:
     raw = os.environ.get(_ENV_CAP)
     if raw is None:
         return MAX_QUBITS_DEFAULT
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
     if cap < 2:
         raise ValueError(f"{_ENV_CAP} must be at least 2, got {cap}")
     return cap

@@ -18,6 +18,18 @@ rows at once.  The exhaustive sweep writes every order as a short prefix
 followed by a row of one shared table of the min(N, 7)! suffix
 permutations; the sampled sweep draws its orders in fixed-size batches.
 Memory stays bounded for any N.
+
+The sampled sweep's seeded trials are those of ``rng.integers(len(chosen))``
+followed by ``rng.shuffle(arange(N))`` per trial on ``default_rng(seed)``,
+but they are read in bulk: a window of raw PCG64 outputs is split into the
+32-bit draws those calls consume (low half first), and numpy replays each
+call's rejection sampling on the whole window at once.  The pick is
+Lemire's method on one draw; Fisher-Yates step i = N-1, ..., 1 keeps the
+first draw whose low bit_length(i) bits are at most i.  So every pick and
+order is bit-identical to the per-trial calls, and depends only on the
+PCG64 stream.  Finding where each trial ends runs every sampler over every
+draw of the window, about 1.3 N^2 draw tests per trial, so the bulk read
+beats the per-trial calls up to N of about 15 and loses above.
 """
 
 from __future__ import annotations
@@ -38,8 +50,8 @@ NUM_BINS = 21
 
 # length of the suffix shared by all exhaustive orders (a 7! x 7 table)
 SUFFIX_LEN = 7
-# order-table entries per sampled batch
-SAMPLE_BATCH_SLOTS = 1 << 15
+# order-table entries per sampled batch; a batch's draws are read as one window
+SAMPLE_BATCH_SLOTS = 1 << 13
 
 
 def bin_centers() -> list[float]:
@@ -167,17 +179,126 @@ def _exhaustive(b, chosen_list, wr, wi, u):
             yield _unwind_steps(re, im, rest[suffixes], wr, wi, u)
 
 
-def _sampled(b, chosen_list, wr, wi, u, sample: int, seed: int):
-    """(re, im) of b_j for ``sample`` seeded random (chosen, order) draws, in batches."""
-    rng = np.random.default_rng(seed)
-    n = b.size - 1
+def _draw_steps(n: int, k: int) -> list[tuple[int, bool]]:
+    """The rejection samplers of one trial, in stream order, as ``(bound, lemire)``.
+
+    ``rng.integers(k)`` is one Lemire pick below k (none for k = 1), and
+    ``rng.shuffle`` of n entries is one masked pick in 0..i per step i = n-1, ..., 1.
+    """
+    return [(k, True)] * (k > 1) + [(i, False) for i in range(n - 1, 0, -1)]
+
+
+def _accepted(draws: np.ndarray, bound: int, lemire: bool) -> np.ndarray:
+    """Whether each 32-bit draw passes one rejection sampler of ``_draw_steps``."""
+    if lemire:  # m = x * k is rejected while m mod 2^32 < (2^32 - k) mod k
+        return draws * np.uint32(bound) >= (2**32 - bound) % bound
+    return draws & ((1 << bound.bit_length()) - 1) <= bound  # rejected while above i
+
+
+def _picked(draws: np.ndarray, bound: int, lemire: bool) -> np.ndarray:
+    """The value that one sampler returns for each accepted 32-bit draw."""
+    if lemire:
+        return (draws.astype(np.uint64) * bound >> 32).astype(np.intp)
+    return (draws & ((1 << bound.bit_length()) - 1)).astype(np.intp)
+
+
+def _mean_draws(steps) -> float:
+    """Expected 32-bit draws per trial: one over each sampler's acceptance rate."""
+    return sum(2**32 / (2**32 - (2**32 - b) % b) if lemire else (1 << b.bit_length()) / (b + 1)
+               for b, lemire in steps)
+
+
+def _trial_ends(draws: np.ndarray, steps) -> np.ndarray:
+    """Position after the last draw of a trial started at each position 0..L of ``draws``.
+
+    A trial that runs past the window ends at L + 1.  Each sampler maps a
+    position to one past its next accepted draw, for every position at once.
+    """
+    size = draws.size
+    ends = np.arange(size + 1)
+    for bound, lemire in steps:
+        accepted = _accepted(draws, bound, lemire)
+        if accepted.all():  # the sampler takes the draw it starts at
+            ends = np.minimum(ends + 1, size + 1)
+            continue
+        past = np.append(np.flatnonzero(accepted) + 1, (size + 1, size + 1))
+        before = np.zeros(size + 2, dtype=np.intp)  # accepted draws ahead of each position
+        np.cumsum(accepted, out=before[1:size + 1])
+        before[size + 1] = before[size] + 1
+        ends = past[before[ends]]
+    return ends
+
+
+def _draw_trials(n: int, k: int, sample: int, random_raw):
+    """Picks and orders of ``sample`` trials, in batches of at most SAMPLE_BATCH_SLOTS // n.
+
+    With ``random_raw = default_rng(seed).bit_generator.random_raw``, trial
+    r is bit for bit ``rng.integers(k)`` then ``rng.shuffle(arange(n))``.
+    Each batch reads the 64-bit outputs that top its window of 32-bit
+    draws up to the expected need, finds every trial's end in the window,
+    walks from its first draw to the starts of its trials and replays them.
+    """
+    steps = _draw_steps(n, k)
     rows = max(1, SAMPLE_BATCH_SLOTS // n)
-    for start in range(0, sample, rows):
-        picks = np.empty(min(rows, sample - start), dtype=np.intp)
-        orders = np.tile(np.arange(n), (picks.size, 1))
-        for r in range(picks.size):
-            picks[r] = rng.integers(len(chosen_list))
-            rng.shuffle(orders[r])  # the shuffle rng.permutation(n) runs on its arange
+    per_trial = _mean_draws(steps)
+    draws = np.empty(0, dtype=np.uint32)
+    done = 0
+    reach = 1  # window size over the expected need; grows while no trial fits
+    while done < sample:
+        count = min(rows, sample - done)
+        need = int(reach * (1.05 * count * per_trial + 2 * len(steps)))
+        if draws.size < need:
+            raw = random_raw(-(-(need - draws.size) // 2))
+            draws = np.concatenate([draws, raw.astype("<u8").view("<u4")])
+        ends = memoryview(_trial_ends(draws, steps))
+        starts, pos = [], 0
+        for _ in range(count):
+            end = ends[pos]
+            if end > draws.size:
+                break
+            starts.append(pos)
+            pos = end
+        if not starts:
+            reach *= 2
+            continue
+        reach = 1
+        yield _replay_trials(draws, np.array(starts), n, steps)
+        draws = draws[pos:]
+        done += len(starts)
+
+
+def _replay_trials(draws: np.ndarray, starts: np.ndarray, n: int, steps):
+    """Picks and shuffled ``arange(n)`` rows of the trials that start at ``starts``."""
+    picks = np.zeros(starts.size, dtype=np.intp)
+    orders = np.tile(np.arange(n), starts.size)
+    base = np.arange(0, orders.size, n)  # first entry of each row
+    pos = starts
+    for bound, lemire in steps:
+        redo = np.arange(pos.size)
+        while redo.size:  # move each rejected trial on to its next draw
+            redo = redo[~_accepted(draws[pos[redo]], bound, lemire)]
+            pos[redo] += 1
+        value = _picked(draws[pos], bound, lemire)
+        pos += 1
+        if lemire:
+            picks = value
+        else:  # Fisher-Yates step i: swap entries i and j of every row
+            i, j = base + bound, base + value
+            orders[i], orders[j] = orders[j], orders[i]
+    return picks, orders.reshape(-1, n)
+
+
+def _sampled(b, chosen_list, wr, wi, u, sample: int, seed: int):
+    """(re, im) of b_j for ``sample`` seeded random (chosen, order) draws, in batches.
+
+    Trial r draws ``rng.integers(len(chosen_list))`` and then
+    ``rng.shuffle(arange(N))`` on ``default_rng(seed)``; ``_draw_trials``
+    reads those draws in bulk from the PCG64 stream, one batch of trials
+    per window, and each batch goes through the kernel as one table.
+    """
+    n = b.size - 1
+    random_raw = np.random.default_rng(seed).bit_generator.random_raw
+    for picks, orders in _draw_trials(n, len(chosen_list), sample, random_raw):
         chosen = np.asarray(chosen_list)[picks]
         orders += orders >= chosen[:, None]  # index into the pool -> qubit
         yield _unwind_steps(b.real[chosen], b.imag[chosen], orders.T, wr, wi, u)

@@ -565,3 +565,59 @@ def test_verify_writes_failure_record(capsys, monkeypatch):
     assert code == 1
     final = json.loads(out.strip().split("\n")[-1])
     assert final["failed"] == ["bloch.metric"]
+
+
+def test_safe_seed_needs_sample(capsys):
+    code, out, err = run_cli(capsys, "safe", "--delta", "0.1", "--n", "4", "--seed", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --seed") and err.count("\n") == 1
+    # without --seed a sampled sweep keeps seed 0
+    argv = ["safe", "--eta", "0.3", "--n", "6", "--sample", "200", "--format", "json"]
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--seed", "0")
+
+
+def test_error_lines_name_their_input(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "safe", "--delta", "0.1", "--sample", "5", "--seed", "-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --seed") and err.count("\n") == 1
+    monkeypatch.setenv("QHOG_MAX_QUBITS", "abc")
+    code, out, err = run_cli(capsys, "simulate", "--eta", "0.3", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: QHOG_MAX_QUBITS must be an integer, got 'abc'\n"
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_python(code: str, **env_vars) -> str:
+    """stdout of ``python -c code`` on this checkout; of the thread variables, only ``env_vars``."""
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**env, **env_vars}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_qhog_leaves_numpy_unloaded():
+    assert _run_python("import sys, qhog; print('numpy' in sys.modules)") == "False\n"
+
+
+@pytest.mark.parametrize("caller,want", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"OMP_NUM_THREADS": "3"}, "None"),
+    ({"GOTO_NUM_THREADS": "4"}, "None"),
+])
+def test_cli_entry_point_defaults_openblas_to_one_thread(caller, want):
+    code = "import os, qhog.__main__; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _run_python(code, **caller) == want + "\n"
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from qhog import QubitState" in example
+    lines = _run_python(example).splitlines()
+    assert len(lines) == 2 and float(lines[0]) <= 0.2

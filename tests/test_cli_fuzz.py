@@ -59,9 +59,9 @@ def _check_clean_exit(argv):
 def test_fuzzed_argv_exits_cleanly(command, mode, n, sample, seed, eta):
     argv = [command, "--format", "json"]
     if command == "safe":  # the only subcommand that reads --mode, --seed and --sample
-        argv += [f"--mode={mode}", f"--seed={seed}"]
-        if sample is not None:
-            argv.append(f"--sample={sample}")
+        argv.append(f"--mode={mode}")
+        if sample is not None:  # --seed is read with --sample only
+            argv += [f"--sample={sample}", f"--seed={seed}"]
     if n is not None:
         argv.append(f"--n={n}")
     if eta is not None:

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from qhog import safe
 from qhog.collision import excitation_forward_run, init_pure
 from qhog.homogenizer import SwapAngle, budget_from_delta
 from qhog.safe import (
     NUM_BINS,
+    _draw_trials,
     bin_centers,
     bin_index,
     bin_indices,
@@ -283,3 +285,124 @@ def test_histogram_counts_match_replay():
     for perm in itertools.permutations(range(1, n + 1)):
         counts[bin_index(unwind_z_excitation(amps, 0, perm, ANGLE))] += 1
     assert hist.counts == tuple(counts)
+
+
+def _per_call_trials(n, k, sample, seed):
+    """Picks and orders from one ``rng.integers(k)`` and one ``rng.shuffle`` per trial."""
+    rng = np.random.default_rng(seed)
+    picks = np.empty(sample, dtype=np.intp)
+    orders = np.tile(np.arange(n), (sample, 1))
+    for r in range(sample):
+        picks[r] = rng.integers(k)
+        rng.shuffle(orders[r])
+    return picks, orders
+
+
+def _bulk_trials(n, k, sample, random_raw):
+    batches = list(_draw_trials(n, k, sample, random_raw))
+    assert all(picks.size == orders.shape[0] >= 1 for picks, orders in batches)
+    assert max(picks.size for picks, _ in batches) <= max(1, safe.SAMPLE_BATCH_SLOTS // n)
+    return (np.concatenate([picks for picks, _ in batches]),
+            np.concatenate([orders for _, orders in batches]))
+
+
+def _assert_same_trials(got, want):
+    assert got[0].dtype.kind == want[0].dtype.kind == "i"
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 12])
+@pytest.mark.parametrize("k_is_n", [False, True])
+def test_bulk_draws_match_per_trial_calls(monkeypatch, n, k_is_n):
+    # small batches, so that 20 seeds cross many batch and stream-read boundaries
+    k = n if k_is_n else 1
+    monkeypatch.setattr(safe, "SAMPLE_BATCH_SLOTS", 40)
+    rows = max(1, 40 // n)
+    for seed in range(20):
+        sample = 3 * rows + seed % 5  # the last batch partial unless seed % 5 == 0
+        random_raw = np.random.default_rng(seed).bit_generator.random_raw
+        _assert_same_trials(_bulk_trials(n, k, sample, random_raw),
+                            _per_call_trials(n, k, sample, seed))
+
+
+@pytest.mark.parametrize("n", [1, 9, 12])
+def test_bulk_draws_match_per_trial_calls_across_full_batches(n):
+    sample = 2 * max(1, safe.SAMPLE_BATCH_SLOTS // n) + 3
+    for seed in (0, 7):
+        random_raw = np.random.default_rng(seed).bit_generator.random_raw
+        _assert_same_trials(_bulk_trials(n, n, sample, random_raw),
+                            _per_call_trials(n, n, sample, seed))
+
+
+def _scalar_trials(draws, n, k, count):
+    """The trials that per-call draws make of a stream of 32-bit draws, one draw at a time."""
+    stream = iter(int(x) for x in draws)
+    picks, orders = [], []
+    for _ in range(count):
+        pick = 0
+        if k > 1:  # Lemire: m = x * k, rejected while m mod 2^32 < (2^32 - k) mod k
+            m = next(stream) * k
+            while m % 2**32 < (2**32 - k) % k:
+                m = next(stream) * k
+            pick = m >> 32
+        row = list(range(n))
+        for i in range(n - 1, 0, -1):  # Fisher-Yates with masked rejection
+            mask = (1 << i.bit_length()) - 1
+            j = next(stream) & mask
+            while j > i:
+                j = next(stream) & mask
+            row[i], row[j] = row[j], row[i]
+        picks.append(pick)
+        orders.append(row)
+    return np.array(picks, dtype=np.intp), np.array(orders, dtype=np.intp).reshape(count, n)
+
+
+class _CraftedStream:
+    """``random_raw`` over fixed 32-bit draws, low half of each 64-bit output first."""
+
+    def __init__(self, draws):
+        self.words = np.asarray(draws, dtype="<u4").view("<u8")
+        self.read = 0
+
+    def __call__(self, size):
+        assert self.read + size <= self.words.size, "the routine read past the crafted stream"
+        out = self.words[self.read:self.read + size].astype(np.uint64)
+        self.read += size
+        return out
+
+
+def test_scalar_emulation_matches_per_trial_calls():
+    n, k, sample, seed = 9, 9, 300, 4
+    draws = np.random.default_rng(seed).bit_generator.random_raw(4000).astype("<u8").view("<u4")
+    _assert_same_trials(_scalar_trials(draws, n, k, sample), _per_call_trials(n, k, sample, seed))
+
+
+def test_bulk_draws_on_crafted_stream(monkeypatch):
+    """Lemire rejections and long masked-rejection runs, against the scalar emulation."""
+    n, k, count = 9, 9, 60
+    assert (2**32 - k) % k == 4  # so x = 0 gives m mod 2^32 = 0 < 4: a rejected pick
+    rng = np.random.default_rng(11)
+    draws = rng.bit_generator.random_raw(3000).astype("<u8").view("<u4").copy()
+    draws[[0, 1, 2]] = 0  # three rejected picks at the start of the stream
+    draws[200:203] = 0
+    # 15 and 2^32 - 1 pass the pick and i = 7, 3, 1 only: runs of 100 and 400
+    # rejections for whichever of i = 8, 6, 5, 4, 2 meets them
+    draws[40:140] = 15
+    draws[1000:1400] = 0xFFFFFFFF
+    want = _scalar_trials(draws, n, k, count)
+    assert want[0][0] == int(draws[3]) * k >> 32
+    for slots in (40, 400, safe.SAMPLE_BATCH_SLOTS):
+        monkeypatch.setattr(safe, "SAMPLE_BATCH_SLOTS", slots)
+        _assert_same_trials(_bulk_trials(n, k, count, _CraftedStream(draws)), want)
+
+
+def test_bulk_draws_single_trial_longer_than_its_window(monkeypatch):
+    # one trial per batch, and a run of 500 rejections in its first step
+    monkeypatch.setattr(safe, "SAMPLE_BATCH_SLOTS", 40)
+    n, count = 60, 3
+    assert (n - 1) & n  # i = n - 1 is not 2^b - 1, so x = 2^32 - 1 is rejected
+    draws = np.random.default_rng(5).bit_generator.random_raw(2000).astype("<u8").view("<u4")
+    draws = draws.copy()
+    draws[:500] = 0xFFFFFFFF
+    _assert_same_trials(_bulk_trials(n, 1, count, _CraftedStream(draws)),
+                        _scalar_trials(draws, n, 1, count))
