@@ -12,8 +12,8 @@ _HOME = {
     "bloch": ("QubitState", "bloch_from_density", "density_from_bloch", "trace_distance"),
     "collision": ("CollisionState", "ExcitationState", "excitation_collide", "init_pure",
                   "run_mixed_system", "run_pure"),
-    "entanglement": ("ConcurrenceTable", "TangleRecord", "ckw_sum", "closed_form_concurrences",
-                     "concurrence", "tangle_one_vs_rest", "total_tangle_sum"),
+    "entanglement": ("ConcurrenceTable", "ckw_sum", "closed_form_concurrences", "concurrence",
+                     "tangle_one_vs_rest", "total_tangle_sum"),
     "homogenizer": ("AffineSuperOp", "HomogenizationBudget", "SwapAngle", "Trajectory",
                     "budget_from_delta", "check_universality", "closed_form_system",
                     "contraction_coefficient", "partial_swap_unitary", "run_trajectory",

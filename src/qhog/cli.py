@@ -78,6 +78,14 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _csv(records: list[dict]) -> str:
+    """The rows ``records`` under the first row's keys; floats to 17 digits, ints as they are."""
+    lines = [",".join(records[0])]
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in r.values())
+              for r in records]
+    return "\n".join(lines) + "\n"
+
+
 # amplitudes formatted per write of a streamed amplitude dump
 _DUMP_CHUNK = 1 << 16
 _AMPLITUDES_MARK = "@amplitudes@"
@@ -140,7 +148,8 @@ def cmd_homogenize(args) -> int:
     _write(args.out, traj.to_csv() if args.format == "csv" else _trajectory_json(traj))
     final_d = float(traj.d_system[-1])
     max_res = float(traj.d_reservoir[1:].max())
-    # the budget angle saturates the reservoir bound at exactly delta
+    # the budget covers a system on the reservoir's Bloch axis (the orthogonal
+    # pure start saturates the reservoir bound); an off-axis one can miss delta
     ok = True if delta is None else (final_d <= delta + 1e-12 and max_res <= delta + 1e-12)
     _summary(
         {
@@ -164,13 +173,7 @@ def cmd_bounds(args) -> int:
         "eta_max": budget.eta_max,
         "n_delta": budget.n_delta,
     }
-    if args.format == "csv":
-        text = "delta,sin_eta_max,eta_max,n_delta\n"
-        text += f"{report['delta']:.17g},{report['sin_eta_max']:.17g},"
-        text += f"{report['eta_max']:.17g},{report['n_delta']}\n"
-        _write(args.out, text)
-    else:
-        _write(args.out, _dump_json(report))
+    _write(args.out, _csv([report]) if args.format == "csv" else _dump_json(report))
     _summary({"command": "bounds", "ok": True, **report})
     return 0
 
@@ -178,7 +181,10 @@ def cmd_bounds(args) -> int:
 def _parse_order(text: str | None):
     if text is None:
         return None
-    return [int(tok) for tok in text.split(",")]
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--order must be comma-separated integers, got {text!r}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -208,6 +214,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _max_residual(rows: list[dict]) -> float | None:
+    """Largest closed-form residual of the rows; None when they carry no closed forms."""
+    return max((r["residual"] for r in rows if "residual" in r), default=None)
+
+
 def cmd_entangle(args) -> int:
     angle, _ = _resolve_angle(args)
     if args.format == "csv" and args.out is None:
@@ -217,16 +228,15 @@ def cmd_entangle(args) -> int:
     state = run_pure(system, reservoir, args.n, angle, _parse_order(args.order))
     pairs, tangles = entanglement_tables(state, system, reservoir)
     if args.format == "csv":
-        _write(args.out + "_pairs.csv", pairs.to_csv())
-        _write(args.out + "_tangles.csv", tangles.to_csv())
+        _write(args.out + "_pairs.csv", _csv(pairs))
+        _write(args.out + "_tangles.csv", _csv(tangles))
     else:
-        _write(args.out, _dump_json({"n": pairs.n, "eta": angle.eta,
-                                     "pairs": pairs.to_json_records(),
-                                     "tangles": tangles.to_json_records()}))
+        _write(args.out, _dump_json({"n": len(state.log), "eta": angle.eta,
+                                     "pairs": pairs, "tangles": tangles}))
     _summary({"command": "entangle", "ok": True, "n": args.n,
-              "closed_forms": pairs.closed is not None,
-              "max_residual_pairs": pairs.max_residual(),
-              "max_residual_tangles": tangles.max_residual()})
+              "closed_forms": "residual" in pairs[0],
+              "max_residual_pairs": _max_residual(pairs),
+              "max_residual_tangles": _max_residual(tangles)})
     return 0
 
 

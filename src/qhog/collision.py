@@ -205,14 +205,6 @@ class CollisionState:
             qubits = [qubits]
         return reduced_from_vector(self.vector, self.num_qubits, qubits)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "num_qubits": self.num_qubits,
-            "eta": self.angle.eta,
-            "log": list(self.log),
-            "amplitudes": [[z.real, z.imag] for z in self.vector],
-        }
-
 
 def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray) -> int:
     """Add qubit ``k`` in state ``ket`` to the state of the ``live`` qubits, in place.
@@ -313,20 +305,16 @@ class ExcitationState:
         return cls(amps)
 
 
-def excitation_collide(
-    es: ExcitationState, k: int, angle: SwapAngle, inverse: bool = False
-) -> ExcitationState:
+def excitation_collide(es: ExcitationState, k: int, angle: SwapAngle) -> ExcitationState:
     """Collision between the system slot (0) and slot k inside the sector.
 
     The pair (a_0, a_k) mixes through [[c, is], [is, c]] while every other
     amplitude picks up the spectator phase (c + is) coming from the
-    partial swap acting on its |00> component; the inverse collision
-    flips the sign of s.
+    partial swap acting on its |00> component.
     """
     if not 1 <= k < es.amplitudes.size:
         raise ValueError(f"slot {k} out of range 1..{es.amplitudes.size - 1}")
-    c = angle.c
-    s = -angle.s if inverse else angle.s
+    c, s = angle.c, angle.s
     amps = es.amplitudes * complex(c, s)
     a0, ak = es.amplitudes[0], es.amplitudes[k]
     amps[0] = c * a0 + 1j * s * ak

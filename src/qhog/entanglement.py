@@ -92,66 +92,15 @@ def ckw_sum(state: CollisionState, j: int) -> float:
     return total
 
 
-def _closed_columns(closed, key, name: str) -> dict:
-    """The columns ``name`` and residual of row ``key``; none without closed forms."""
-    return {} if closed is None else dict(zip((name, "residual"), closed[key]))
-
-
-def _csv(columns: list[str], records: list[dict]) -> str:
-    # '.17g' prints the integer indices j, k as they are
-    lines = [",".join(columns)] + [",".join(f"{r[c]:.17g}" for c in columns) for r in records]
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class ConcurrenceTable:
-    """Pairwise concurrences C_jk (j < k, qubit 0 = system) after n collisions.
-
-    ``closed`` maps each pair to (C_closed, |C - C_closed|) when the closed
-    forms apply to the run, else is None; both formats then add those columns.
-    """
+    """Pairwise concurrences C_jk (j < k, qubit 0 = system) after n collisions."""
 
     n: int
     entries: dict[tuple[int, int], float]
-    closed: dict[tuple[int, int], tuple[float, float]] | None
 
     def pairs(self):
         return sorted(self.entries)
-
-    def max_residual(self) -> float | None:
-        return None if self.closed is None else max(r for _, r in self.closed.values())
-
-    def to_csv(self) -> str:
-        closed = [] if self.closed is None else ["C_closed", "residual"]
-        return _csv(["j", "k", "C", *closed], self.to_json_records())
-
-    def to_json_records(self) -> list[dict]:
-        return [{"j": j, "k": k, "C": self.entries[(j, k)],
-                 **_closed_columns(self.closed, (j, k), "C_closed")} for j, k in self.pairs()]
-
-
-@dataclass
-class TangleRecord:
-    """Per-qubit one-vs-rest tangle tau_j and CKW pair sum S_j.
-
-    ``closed`` maps each qubit to (S_closed, max(|tau - S_closed|, |S - S_closed|))
-    when the closed forms apply to the run, else is None; both formats then
-    add those columns.  The closed form is the value of tau_j and of S_j.
-    """
-
-    entries: dict[int, tuple[float, float]]
-    closed: dict[int, tuple[float, float]] | None
-
-    def max_residual(self) -> float | None:
-        return None if self.closed is None else max(r for _, r in self.closed.values())
-
-    def to_csv(self) -> str:
-        closed = [] if self.closed is None else ["S_closed", "residual"]
-        return _csv(["j", "tau", "S", *closed], self.to_json_records())
-
-    def to_json_records(self) -> list[dict]:
-        return [{"j": j, "tau": self.entries[j][0], "S": self.entries[j][1],
-                 **_closed_columns(self.closed, j, "S_closed")} for j in sorted(self.entries)]
 
 
 # exchanging the two qubits of a pair state swaps the |01> and |10> rows and columns
@@ -166,31 +115,7 @@ def pair_states(state: CollisionState) -> dict[tuple[int, int], np.ndarray]:
 
 def concurrence_table(state: CollisionState, rhos) -> ConcurrenceTable:
     """Numeric concurrence of every pair state ``rhos`` (see :func:`pair_states`) of ``state``."""
-    return ConcurrenceTable(
-        len(state.log), {pair: concurrence(rho) for pair, rho in rhos.items()}, None
-    )
-
-
-def tangle_record(state: CollisionState, rhos, table: ConcurrenceTable) -> TangleRecord:
-    """tau_j and the CKW sum S_j of every qubit, from one reduction per pair.
-
-    ``rhos`` and ``table`` are the pair states and their concurrence table.
-    S_j adds C(rho_jk)^2 in k order, as :func:`ckw_sum` does; for k < j the
-    pair state is rho_kj with its qubits exchanged, and its concurrence is
-    taken anew, because the numeric concurrence is not symmetric under the
-    exchange to the last bit.
-    """
-    n = state.num_qubits
-    entries = {}
-    for j in range(n):
-        total = 0.0
-        for k in range(n):
-            if k < j:
-                total += concurrence(rhos[(k, j)][_EXCHANGE]) ** 2
-            elif k > j:
-                total += table.entries[(j, k)] ** 2
-        entries[j] = (_tangle(state.reduced(j)), total)
-    return TangleRecord(entries, None)
+    return ConcurrenceTable(len(state.log), {pair: concurrence(rho) for pair, rho in rhos.items()})
 
 
 def one_zero_start(system, reservoir) -> bool:
@@ -199,27 +124,41 @@ def one_zero_start(system, reservoir) -> bool:
     return one and np.allclose(np.asarray(reservoir, dtype=complex), [1.0, 0.0], atol=1e-12)
 
 
-def entanglement_tables(
-    state: CollisionState, system, reservoir
-) -> tuple[ConcurrenceTable, TangleRecord]:
-    """Concurrence table and tangle record of a run from the kets ``system`` and ``reservoir``.
+def entanglement_tables(state: CollisionState, system, reservoir) -> tuple[list, list]:
+    """Pair rows {j, k, C} and tangle rows {j, tau, S} of a run from ``system`` and ``reservoir``.
 
-    Every pair is reduced once.  For a |1>/|0> start collided in the order
-    1..n, where the closed forms apply, both carry them with their residuals.
+    Every pair is reduced once.  S_j adds C(rho_jk)^2 in k order, as
+    :func:`ckw_sum` does; for k < j the pair state is rho_kj with its qubits
+    exchanged, and its concurrence is taken anew, because the numeric
+    concurrence is not symmetric under the exchange to the last bit.  For a
+    |1>/|0> start collided in the order 1..n, where the closed forms apply,
+    each row also holds C_closed or S_closed (the closed form of tau_j and
+    of S_j) and its residual.
     """
     rhos = pair_states(state)
     table = concurrence_table(state, rhos)
-    record = tangle_record(state, rhos, table)
     n, angle = table.n, state.angle
-    if one_zero_start(system, reservoir) and state.log == list(range(1, n + 1)):
-        table.closed, record.closed = {}, {}
-        for pair, c in table.entries.items():
-            w = closed_pair_concurrence(*pair, n, angle)
-            table.closed[pair] = (w, abs(c - w))
-        for j, (tau, s) in record.entries.items():
+    closed = one_zero_start(system, reservoir) and state.log == list(range(1, n + 1))
+    pairs, tangles = [], []
+    for (j, k), c in sorted(table.entries.items()):
+        row = {"j": j, "k": k, "C": c}
+        if closed:
+            w = closed_pair_concurrence(j, k, n, angle)
+            row |= {"C_closed": w, "residual": abs(c - w)}
+        pairs.append(row)
+    for j in range(state.num_qubits):
+        tau, s = _tangle(state.reduced(j)), 0.0
+        for k in range(state.num_qubits):
+            if k < j:
+                s += concurrence(rhos[(k, j)][_EXCHANGE]) ** 2
+            elif k > j:
+                s += table.entries[(j, k)] ** 2
+        row = {"j": j, "tau": tau, "S": s}
+        if closed:
             w = closed_tangle(j, n, angle)
-            record.closed[j] = (w, max(abs(tau - w), abs(s - w)))
-    return table, record
+            row |= {"S_closed": w, "residual": max(abs(tau - w), abs(s - w))}
+        tangles.append(row)
+    return pairs, tangles
 
 
 def closed_pair_concurrence(j: int, k: int, n: int, angle: SwapAngle) -> float:
@@ -246,7 +185,7 @@ def closed_form_concurrences(n: int, n_reservoir: int, angle: SwapAngle) -> Conc
     for j in range(n_reservoir + 1):
         for k in range(j + 1, n_reservoir + 1):
             entries[(j, k)] = closed_pair_concurrence(j, k, n, angle)
-    return ConcurrenceTable(n, entries, None)
+    return ConcurrenceTable(n, entries)
 
 
 def closed_tangle(j: int, n: int, angle: SwapAngle) -> float:

@@ -216,12 +216,15 @@ def run_trajectory(rho0: QubitState, xi: QubitState, angle: SwapAngle, n_steps: 
 
 @dataclass(frozen=True)
 class HomogenizationBudget:
-    """Angle and step-count bounds that guarantee delta-precision output.
+    """Angle and step-count bounds that guarantee delta-precision output on the reservoir's axis.
 
     Keeping every once-collided reservoir qubit within trace distance
     delta of xi requires sin(eta) <= sqrt(delta/2); running with equality
     then needs n_delta = ceil(ln(delta/2) / ln(1 - delta/2)) collisions to
     bring a worst-case (orthogonal pure) system qubit within delta too.
+    Both hold for a system on the Bloch axis of xi, where the distance to xi
+    shrinks by cos^2(eta) per step.  Off it, coherence decays only as cos(eta)
+    per step: |+> against |0> ends 0.10 from xi after the 459 steps of 0.02.
     """
 
     delta: float
@@ -230,6 +233,7 @@ class HomogenizationBudget:
 
 
 def budget_from_delta(delta: float) -> HomogenizationBudget:
+    """The budget of precision ``delta``, for system states on the reservoir's Bloch axis."""
     if not 0.0 < delta < 2.0:
         raise ValueError(f"delta must lie in (0, 2), got {delta}")
     if 1.0 - delta / 2.0 == 1.0:

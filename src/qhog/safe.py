@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import (CollisionState, ExcitationState, apply_two_qubit, excitation_collide,
-                        excitation_forward_run)
+from .collision import CollisionState, apply_two_qubit, excitation_forward_run
 from .homogenizer import SwapAngle
 
 EXACT_REVERSAL_TOL = 1e-9
@@ -130,19 +129,28 @@ def unwind(state: CollisionState, chosen_system: int, order) -> UnwindTrial:
     return UnwindTrial(chosen_system, order, z)
 
 
-def unwind_z_excitation(amplitudes, chosen: int, order, angle: SwapAngle) -> float:
-    """Replay one unwinding inside the excitation sector; returns z of ``chosen``.
+def unwind_z_excitation(amplitudes, chosen, orders, angle: SwapAngle) -> np.ndarray:
+    """z of qubit ``chosen`` unwound in each row of ``orders`` from the sector ``amplitudes``.
 
-    Slots 0 and ``chosen`` trade amplitudes, so the chosen qubit takes the
-    system slot and qubit 0 takes slot ``chosen``; each step of ``order`` is
-    then one inverse :func:`excitation_collide`.
+    ``chosen`` is one qubit or one per row, and each row is a permutation of
+    the other qubits; the sweeps' Horner kernel runs all rows at once.
     """
-    amps = np.array(amplitudes, dtype=complex)
-    amps[[0, chosen]] = amps[[chosen, 0]]
-    es = ExcitationState(amps)
-    for k in order:
-        es = excitation_collide(es, chosen if k == 0 else k, angle, inverse=True)
-    return 1.0 - 2.0 * float(abs(es.amplitudes[0]) ** 2)
+    b = np.asarray(amplitudes, dtype=complex)
+    u, wr, wi = _recurrence(b, angle)
+    steps = np.asarray(orders, dtype=np.intp).T
+    return _z(*_unwind_steps(b.real[chosen], b.imag[chosen], steps, wr, wi, u))
+
+
+def _recurrence(b: np.ndarray, angle: SwapAngle):
+    """u and the parts of v*b_k of the unwinding recurrence over the forward amplitudes ``b``."""
+    c, s = angle.c, angle.s
+    u = complex(c * c, c * s)
+    v = complex(s * s, -c * s)
+    return u, v.real * b.real - v.imag * b.imag, v.real * b.imag + v.imag * b.real
+
+
+def _z(re, im):
+    return 1.0 - 2.0 * (re * re + im * im)
 
 
 def bin_indices(z: np.ndarray) -> np.ndarray:
@@ -166,8 +174,9 @@ def _unwind_steps(re, im, steps, wr, wi, u: complex):
     return re, im
 
 
-def _exhaustive(b, chosen_list, wr, wi, u):
-    """(re, im) of b_j for every order, one shared-suffix block per prefix."""
+def _exhaustive(b, chosen_list, angle):
+    """z for every order, one shared-suffix block per prefix."""
+    u, wr, wi = _recurrence(b, angle)
     n = b.size - 1
     m = min(SUFFIX_LEN, n)
     suffixes = np.array(list(itertools.permutations(range(m))), dtype=np.intp).T
@@ -176,7 +185,7 @@ def _exhaustive(b, chosen_list, wr, wi, u):
         for prefix in itertools.permutations(pool, n - m):
             re, im = _unwind_steps(b[chosen].real, b[chosen].imag, prefix, wr, wi, u)
             rest = np.array([q for q in pool if q not in prefix], dtype=np.intp)
-            yield _unwind_steps(re, im, rest[suffixes], wr, wi, u)
+            yield _z(*_unwind_steps(re, im, rest[suffixes], wr, wi, u))
 
 
 def _draw_steps(n: int, k: int) -> list[tuple[int, bool]]:
@@ -288,8 +297,8 @@ def _replay_trials(draws: np.ndarray, starts: np.ndarray, n: int, steps):
     return picks, orders.reshape(-1, n)
 
 
-def _sampled(b, chosen_list, wr, wi, u, sample: int, seed: int):
-    """(re, im) of b_j for ``sample`` seeded random (chosen, order) draws, in batches.
+def _sampled(b, chosen_list, angle, sample: int, seed: int):
+    """z for ``sample`` seeded random (chosen, order) draws, in batches.
 
     Trial r draws ``rng.integers(len(chosen_list))`` and then
     ``rng.shuffle(arange(N))`` on ``default_rng(seed)``; ``_draw_trials``
@@ -301,7 +310,7 @@ def _sampled(b, chosen_list, wr, wi, u, sample: int, seed: int):
     for picks, orders in _draw_trials(n, len(chosen_list), sample, random_raw):
         chosen = np.asarray(chosen_list)[picks]
         orders += orders >= chosen[:, None]  # index into the pool -> qubit
-        yield _unwind_steps(b.real[chosen], b.imag[chosen], orders.T, wr, wi, u)
+        yield unwind_z_excitation(b, chosen, orders, angle)
 
 
 def _sweep(mode: str, n_reservoir: int, angle, sample, seed) -> UnwindHistogram:
@@ -312,20 +321,14 @@ def _sweep(mode: str, n_reservoir: int, angle, sample, seed) -> UnwindHistogram:
     if sample is not None and sample < 1:
         raise ValueError(f"the sample size must be at least 1, got {sample}")
     b = excitation_forward_run(n_reservoir, angle).amplitudes
-    c, s = angle.c, angle.s
-    u = complex(c * c, c * s)
-    v = complex(s * s, -c * s)
-    wr = v.real * b.real - v.imag * b.imag
-    wi = v.real * b.imag + v.imag * b.real
     chosen_list = [0] if mode == "correct" else list(range(1, n_reservoir + 1))
     if sample is None:
-        blocks = _exhaustive(b, chosen_list, wr, wi, u)
+        blocks = _exhaustive(b, chosen_list, angle)
     else:
-        blocks = _sampled(b, chosen_list, wr, wi, u, sample, seed)
+        blocks = _sampled(b, chosen_list, angle, sample, seed)
     counts = np.zeros(NUM_BINS, dtype=np.int64)
     total = exact = near = 0
-    for re, im in blocks:
-        z = 1.0 - 2.0 * (re * re + im * im)
+    for z in blocks:
         counts += np.bincount(bin_indices(z), minlength=NUM_BINS)
         d = np.abs(z + 1.0)
         near += int(np.count_nonzero(d <= NEAR_REVERSAL_TOL))

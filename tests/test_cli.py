@@ -62,6 +62,18 @@ def test_homogenize_failure_exit_code(capsys):
     assert json.loads(err)["ok"] is False
 
 
+def test_homogenize_budget_misses_delta_off_the_reservoir_axis(capsys):
+    # the budget covers system states on the reservoir's Bloch axis; a |+>
+    # system against |0> keeps its coherence and ends about 0.10 from xi
+    code, out, err = run_cli(
+        capsys, "homogenize", "--delta", "0.02", "--system", "plus", "--reservoir", "zero",
+    )
+    assert code == 1
+    summary = json.loads(err)
+    assert summary["ok"] is False and summary["n"] == 459
+    assert summary["final_D_sys"] > 0.1 and summary["max_D_res"] > 0.1
+
+
 def test_homogenize_eta_zero_constant(capsys):
     code, out, err = run_cli(
         capsys, "homogenize", "--eta", "0", "--n", "4",
@@ -99,6 +111,12 @@ def test_bounds_report(capsys):
     assert out.strip().endswith(",22")
     code, out, _ = run_cli(capsys, "bounds", "--delta", "1", "--format", "json")
     assert json.loads(out)["n_delta"] == 1
+
+
+def test_bounds_csv_prints_large_step_counts_as_integers(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--delta", "5e-16", "--format", "csv")
+    assert code == 0
+    assert out.split("\n")[1].split(",")[-1] == "161792135270117984"
 
 
 def test_simulate_snapshot(capsys):
@@ -146,7 +164,8 @@ def test_simulate_json_amplitudes_match_json_dumps(capsys, tmp_path, monkeypatch
         monkeypatch.setattr("qhog.cli._DUMP_CHUNK", chunk)  # 16 amplitudes in six chunks
     state = run_pure(parse_ket("-0.5,0,0"), parse_ket("zero"), 3, SwapAngle(0.005), [2, 3, 1])
     payload = {"system_bloch": list(QubitState.from_density(state.reduced(0)).w),
-               **state.to_json_dict()}
+               "num_qubits": 4, "eta": 0.005, "log": [2, 3, 1],
+               "amplitudes": [[z.real, z.imag] for z in state.vector]}
     parts = [x for z in state.vector.tolist() for x in (z.real, z.imag)]
     assert any(x == 0 and math.copysign(1.0, x) < 0 for x in parts)
     want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -580,6 +599,10 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "safe", "--delta", "0.1", "--sample", "5", "--seed", "-3")
     assert (code, out) == (2, "")
     assert err.startswith("error: --seed") and err.count("\n") == 1
+    for order in ("a", ",1"):
+        code, out, err = run_cli(capsys, "simulate", "--eta", "0.3", "--n", "3", "--order", order)
+        assert (code, out) == (2, "")
+        assert err == f"error: --order must be comma-separated integers, got {order!r}\n"
     monkeypatch.setenv("QHOG_MAX_QUBITS", "abc")
     code, out, err = run_cli(capsys, "simulate", "--eta", "0.3", "--n", "3")
     assert (code, out) == (2, "")

@@ -8,7 +8,6 @@ from qhog.collision import (
     _BLOCK,
     ExcitationState,
     apply_two_qubit,
-    excitation_collide,
     excitation_forward_run,
     init_pure,
     max_qubits,
@@ -398,20 +397,3 @@ def test_excitation_matches_full_vector():
         assert not rest.any()
     with pytest.raises(ValueError):
         excitation_forward_run(n, ANGLE, [1, 1])
-
-
-def test_excitation_inverse_round_trip():
-    es = excitation_forward_run(5, ANGLE)
-    for k in range(5, 0, -1):
-        es = excitation_collide(es, k, ANGLE, inverse=True)
-    assert np.allclose(es.amplitudes, [1, 0, 0, 0, 0, 0], atol=1e-12)
-
-
-def test_snapshot_schema():
-    state = init_pure(KET1, KET0, 2, ANGLE).run([2])
-    snap = state.to_json_dict()
-    assert set(snap) == {"num_qubits", "eta", "log", "amplitudes"}
-    assert snap["num_qubits"] == 3
-    assert snap["log"] == [2]
-    assert len(snap["amplitudes"]) == 8
-    assert all(len(pair) == 2 for pair in snap["amplitudes"])

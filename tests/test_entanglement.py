@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qhog.cli import _csv
 from qhog.collision import init_pure
 from qhog.entanglement import (
     ckw_sum,
@@ -15,7 +17,6 @@ from qhog.entanglement import (
     pair_states,
     spin_flip_lambdas_reference,
     tangle_one_vs_rest,
-    tangle_record,
     total_tangle_sum,
 )
 from qhog.homogenizer import SwapAngle
@@ -227,22 +228,34 @@ def test_table_and_record_serialization():
     n = 3
     angle = SwapAngle.from_sin_squared(0.1)
     state = init_pure(KET1, KET0, n, angle).run()
-    rhos = pair_states(state)
-    table = concurrence_table(state, rhos)
-    lines = table.to_csv().strip().split("\n")
-    assert lines[0] == "j,k,C"
+    pairs, tangles = entanglement_tables(state, KET1, KET0)
+    assert json.loads(json.dumps([pairs, tangles])) == [pairs, tangles]
+    lines = _csv(pairs).strip().split("\n")
+    assert lines[0] == "j,k,C,C_closed,residual"
     assert len(lines) == 1 + 6  # all pairs of 4 qubits
-    assert table.to_json_records()[0]["j"] == 0
+    for row in pairs:
+        j, k = row["j"], row["k"]
+        assert row["C"] == concurrence(state.reduced([j, k]))
+        assert row["C_closed"] == closed_pair_concurrence(j, k, n, angle)
+        assert row["residual"] == abs(row["C"] - row["C_closed"]) <= 1e-8
 
-    record = tangle_record(state, rhos, table)
-    lines = record.to_csv().strip().split("\n")
-    assert lines[0] == "j,tau,S"
+    lines = _csv(tangles).strip().split("\n")
+    assert lines[0] == "j,tau,S,S_closed,residual"
     assert len(lines) == 1 + 4
-    recs = record.to_json_records()
-    assert {r["j"] for r in recs} == {0, 1, 2, 3}
-    # CKW inequality as stored: S never exceeds tau beyond roundoff
-    for r in recs:
-        assert r["S"] <= r["tau"] + 1e-9
+    assert [row["j"] for row in tangles] == [0, 1, 2, 3]
+    for row in tangles:
+        j, tau, s = row["j"], row["tau"], row["S"]
+        w = closed_tangle(j, n, angle)
+        assert (tau, s) == (tangle_one_vs_rest(state, j), ckw_sum(state, j))
+        assert (row["S_closed"], row["residual"]) == (w, max(abs(tau - w), abs(s - w)))
+        # CKW inequality as stored: S never exceeds tau beyond roundoff
+        assert s <= tau + 1e-9
+
+    # out of collision order the rows carry no closed forms
+    scrambled = init_pure(KET1, KET0, n, angle).run([2, 1, 3])
+    pairs, tangles = entanglement_tables(scrambled, KET1, KET0)
+    assert _csv(pairs).split("\n")[0] == "j,k,C"
+    assert _csv(tangles).split("\n")[0] == "j,tau,S"
 
 
 def test_pair_path_equals_per_call_definitions():
@@ -258,9 +271,12 @@ def test_pair_path_equals_per_call_definitions():
     rhos = pair_states(state)
     for (j, k), rho in rhos.items():
         assert np.array_equal(rho.view(np.uint64), state.reduced([j, k]).view(np.uint64))
-    table = concurrence_table(state, rhos)
-    assert table.entries == old_table
-    assert tangle_record(state, rhos, table).entries == old_record
+    assert concurrence_table(state, rhos).entries == old_table
+    pairs, tangles = entanglement_tables(state, plus, reservoir)
+    assert [(r["j"], r["k"]) for r in pairs] == sorted(old_table)
+    assert {(r["j"], r["k"]): r["C"] for r in pairs} == old_table
+    assert {r["j"]: (r["tau"], r["S"]) for r in tangles} == old_record
+    assert all(len(r) == 3 for r in pairs + tangles)  # no closed forms for this start
     assert max(old_table.values()) > 0.1
 
 

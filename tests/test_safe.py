@@ -92,8 +92,8 @@ def test_identity_order_z_frozen():
     forward = init_pure(KET1, KET0, 9, ANGLE).run()
     trial = unwind(forward, 0, range(1, 10))
     assert trial.z == pytest.approx(0.61646275354907, abs=1e-11)
-    fast = unwind_z_excitation(
-        excitation_forward_run(9, ANGLE).amplitudes, 0, range(1, 10), ANGLE
+    (fast,) = unwind_z_excitation(
+        excitation_forward_run(9, ANGLE).amplitudes, 0, [range(1, 10)], ANGLE
     )
     assert fast == pytest.approx(trial.z, abs=1e-12)
 
@@ -104,7 +104,7 @@ def _replay(n, angle, orders):
     counts = [0] * NUM_BINS
     exact = near = 0
     for chosen, order in orders:
-        z = unwind_z_excitation(amps, chosen, order, angle)
+        z = _unwind_z_written_out(amps, chosen, order, angle)
         counts[bin_index(z)] += 1
         exact += abs(z + 1.0) <= 1e-9
         near += abs(z + 1.0) <= 1e-6
@@ -191,9 +191,8 @@ def test_enumerate_full_vector_spot_check():
     forward_full = init_pure(KET1, KET0, n, angle).run()
     amps = excitation_forward_run(n, angle).amplitudes
     rng = np.random.default_rng(31)
-    for _ in range(25):
-        order = [int(q) + 1 for q in rng.permutation(n)]
-        z_fast = unwind_z_excitation(amps, 0, order, angle)
+    orders = [[int(q) + 1 for q in rng.permutation(n)] for _ in range(25)]
+    for order, z_fast in zip(orders, unwind_z_excitation(amps, 0, orders, angle)):
         assert unwind(forward_full, 0, order).z == pytest.approx(z_fast, abs=1e-12)
 
 
@@ -209,16 +208,30 @@ def _unwind_z_written_out(amps, chosen, order, angle):
     return 1.0 - 2.0 * float(abs(amps[chosen]) ** 2)
 
 
+def _unwind_z_horner_written_out(amps, chosen, order, angle):
+    """The same unwinding with the phase c - is of every step divided out, in complex arithmetic.
+
+    b_j <- u b_j + v b_k over the forward b_k, with u = c^2 + ics and v = s^2 - ics.
+    """
+    c, s = angle.c, angle.s
+    u, v = complex(c * c, c * s), complex(s * s, -c * s)
+    b = complex(amps[chosen])
+    for k in order:
+        b = u * b + v * complex(amps[k])
+    return 1.0 - 2.0 * (b.real * b.real + b.imag * b.imag)
+
+
 @pytest.mark.parametrize("angle", [SwapAngle(0.3), SwapAngle(1.2), DELTA_ANGLE])
 def test_unwind_z_excitation_bitwise_matches_written_out_replay(angle):
+    # bit for bit the Horner recurrence; within 1e-12 the inverse collisions
     for n in (1, 2, 3, 4, 5):
         amps = excitation_forward_run(n, angle).amplitudes
         for chosen in range(n + 1):
-            others = [q for q in range(n + 1) if q != chosen]
-            for order in itertools.permutations(others):
-                got = np.float64(unwind_z_excitation(amps, chosen, order, angle))
-                want = np.float64(_unwind_z_written_out(amps, chosen, order, angle))
+            orders = list(itertools.permutations([q for q in range(n + 1) if q != chosen]))
+            for order, got in zip(orders, unwind_z_excitation(amps, chosen, orders, angle)):
+                want = np.float64(_unwind_z_horner_written_out(amps, chosen, order, angle))
                 assert got.view(np.uint64) == want.view(np.uint64), (n, chosen, order)
+                assert abs(got - _unwind_z_written_out(amps, chosen, order, angle)) <= 1e-12
 
 
 def test_sweep_correct_small():
@@ -283,7 +296,7 @@ def test_histogram_counts_match_replay():
     amps = excitation_forward_run(n, ANGLE).amplitudes
     counts = [0] * NUM_BINS
     for perm in itertools.permutations(range(1, n + 1)):
-        counts[bin_index(unwind_z_excitation(amps, 0, perm, ANGLE))] += 1
+        counts[bin_index(_unwind_z_written_out(amps, 0, perm, ANGLE))] += 1
     assert hist.counts == tuple(counts)
 
 
