@@ -12,13 +12,12 @@ _HOME = {
     "bloch": ("QubitState", "bloch_from_density", "density_from_bloch", "trace_distance"),
     "collision": ("CollisionState", "ExcitationState", "excitation_collide", "init_pure",
                   "run_mixed_system", "run_pure"),
-    "entanglement": ("ConcurrenceTable", "ckw_sum", "closed_form_concurrences", "concurrence",
-                     "tangle_one_vs_rest", "total_tangle_sum"),
-    "homogenizer": ("AffineSuperOp", "HomogenizationBudget", "SwapAngle", "Trajectory",
-                    "budget_from_delta", "check_universality", "closed_form_system",
-                    "contraction_coefficient", "partial_swap_unitary", "run_trajectory",
-                    "step_reservoir", "step_system", "superoperator"),
-    "safe": ("UnwindHistogram", "UnwindTrial", "sweep_correct", "sweep_incorrect", "unwind"),
+    "entanglement": ("ckw_sum", "closed_form_concurrences", "concurrence", "tangle_one_vs_rest",
+                     "total_tangle_sum"),
+    "homogenizer": ("HomogenizationBudget", "SwapAngle", "Trajectory", "budget_from_delta",
+                    "check_universality", "closed_form_system", "partial_swap_unitary",
+                    "run_trajectory", "step_reservoir", "step_system", "superoperator"),
+    "safe": ("UnwindHistogram", "sweep_correct", "sweep_incorrect", "unwind"),
 }
 _MODULE_OF = {name: module for module, names in _HOME.items() for name in names}
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -51,6 +52,20 @@ def parse_ket(text: str) -> np.ndarray:
     return ket_from_bloch(QubitState.from_text(text).w)
 
 
+def _state(parse, args, flag: str):
+    """``parse`` of the text of ``--system`` or ``--reservoir``, naming the flag on error."""
+    try:
+        return parse(getattr(args, flag))
+    except ValueError as exc:
+        raise ValueError(f"--{flag} {getattr(args, flag)!r}: {exc}") from None
+
+
+def _seed(seed: int) -> int:
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _resolve_angle(args) -> tuple[SwapAngle, HomogenizationBudget | None]:
     if args.eta is not None:
         return SwapAngle(args.eta), None
@@ -71,6 +86,7 @@ def _write(out: str | None, text: str, mode: str = "w") -> None:
 
 
 def _summary(payload: dict) -> None:
+    sys.stdout.flush()  # the data first: a reader that closed stdout early fails here
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -142,8 +158,8 @@ def cmd_homogenize(args) -> int:
         raise ValueError("--n is required when the angle is given via --eta")
     n = budget.n_delta if args.n is None else args.n
     delta = None if budget is None else budget.delta
-    rho0 = parse_state(args.system)
-    xi = parse_state(args.reservoir)
+    rho0 = _state(parse_state, args, "system")
+    xi = _state(parse_state, args, "reservoir")
     traj = run_trajectory(rho0, xi, angle, n)
     _write(args.out, traj.to_csv() if args.format == "csv" else _trajectory_json(traj))
     final_d = float(traj.d_system[-1])
@@ -190,10 +206,10 @@ def _parse_order(text: str | None):
 def cmd_simulate(args) -> int:
     angle, _ = _resolve_angle(args)
     order = _parse_order(args.order)
-    reservoir = parse_ket(args.reservoir)
-    system_state = parse_state(args.system)
+    reservoir = _state(parse_ket, args, "reservoir")
+    system_state = _state(parse_state, args, "system")
     if system_state.is_pure():
-        state = run_pure(parse_ket(args.system), reservoir, args.n, angle, order)
+        state = run_pure(_state(parse_ket, args, "system"), reservoir, args.n, angle, order)
         rho = state.reduced(0)
     elif args.format == "csv":
         raise ValueError("CSV amplitude dumps need a pure system state")
@@ -223,8 +239,8 @@ def cmd_entangle(args) -> int:
     angle, _ = _resolve_angle(args)
     if args.format == "csv" and args.out is None:
         raise ValueError("entangle with --format csv needs --out (two files are written)")
-    system = parse_ket(args.system)
-    reservoir = parse_ket(args.reservoir)
+    system = _state(parse_ket, args, "system")
+    reservoir = _state(parse_ket, args, "reservoir")
     state = run_pure(system, reservoir, args.n, angle, _parse_order(args.order))
     pairs, tangles = entanglement_tables(state, system, reservoir)
     if args.format == "csv":
@@ -244,9 +260,7 @@ def cmd_safe(args) -> int:
     angle, _ = _resolve_angle(args)
     if args.seed is not None and args.sample is None:
         raise ValueError("--seed needs --sample: the full sweep draws nothing")
-    seed = 0 if args.seed is None else args.seed
-    if seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+    seed = 0 if args.seed is None else _seed(args.seed)
     sweep = sweep_correct if args.mode == "correct" else sweep_incorrect
     hist = sweep(args.n, angle, sample=args.sample, seed=seed)
     if args.format == "csv":
@@ -270,7 +284,7 @@ def cmd_safe(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify as verify_mod  # only this command needs it
     names = None if args.checks is None else args.checks.split(",")
-    results = verify_mod.run_checks(names, seed=args.seed, quick=args.quick)
+    results = verify_mod.run_checks(names, seed=_seed(args.seed), quick=args.quick)
     failures = []
     for res in results:
         status = "PASS" if res.ok else "FAIL"
@@ -353,6 +367,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ValueError as exc:  # an argument or path may hold a newline; keep one line
         sys.stderr.write("error: " + str(exc).replace("\n", "\\n") + "\n")
+        return 2
+    except BrokenPipeError as exc:
+        # stdout stays unwritable, so the interpreter's last flush must not reach it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"error: cannot write stdout: {exc.strerror}\n")
         return 2
 
 

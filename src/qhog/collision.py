@@ -180,10 +180,6 @@ class CollisionState:
     def num_qubits(self) -> int:
         return num_qubits_of(self.vector.shape[0])
 
-    @property
-    def n_reservoir(self) -> int:
-        return self.num_qubits - 1
-
     def collide(self, k: int) -> "CollisionState":
         """Partial swap between the system and reservoir qubit k (1-based)."""
         return self.run([k])
@@ -194,7 +190,7 @@ class CollisionState:
         The input state is left as it is: its vector is copied once and the
         copy evolved in place.
         """
-        order = _checked_order(order, self.n_reservoir)
+        order = _checked_order(order, self.num_qubits - 1)
         vec = self.vector.copy()
         for k in order:
             apply_two_qubit(vec, self.num_qubits, self.angle, 0, k)

@@ -12,8 +12,6 @@ states or one of those closed forms, so each can check the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .collision import CollisionState
@@ -92,17 +90,6 @@ def ckw_sum(state: CollisionState, j: int) -> float:
     return total
 
 
-@dataclass
-class ConcurrenceTable:
-    """Pairwise concurrences C_jk (j < k, qubit 0 = system) after n collisions."""
-
-    n: int
-    entries: dict[tuple[int, int], float]
-
-    def pairs(self):
-        return sorted(self.entries)
-
-
 # exchanging the two qubits of a pair state swaps the |01> and |10> rows and columns
 _EXCHANGE = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
 
@@ -113,9 +100,9 @@ def pair_states(state: CollisionState) -> dict[tuple[int, int], np.ndarray]:
     return {(j, k): state.reduced([j, k]) for j in range(n) for k in range(j + 1, n)}
 
 
-def concurrence_table(state: CollisionState, rhos) -> ConcurrenceTable:
-    """Numeric concurrence of every pair state ``rhos`` (see :func:`pair_states`) of ``state``."""
-    return ConcurrenceTable(len(state.log), {pair: concurrence(rho) for pair, rho in rhos.items()})
+def concurrence_table(rhos) -> dict[tuple[int, int], float]:
+    """Numeric concurrence C_jk of every pair state ``rhos`` (see :func:`pair_states`)."""
+    return {pair: concurrence(rho) for pair, rho in rhos.items()}
 
 
 def one_zero_start(system, reservoir) -> bool:
@@ -136,11 +123,11 @@ def entanglement_tables(state: CollisionState, system, reservoir) -> tuple[list,
     of S_j) and its residual.
     """
     rhos = pair_states(state)
-    table = concurrence_table(state, rhos)
-    n, angle = table.n, state.angle
+    table = concurrence_table(rhos)
+    n, angle = len(state.log), state.angle
     closed = one_zero_start(system, reservoir) and state.log == list(range(1, n + 1))
     pairs, tangles = [], []
-    for (j, k), c in sorted(table.entries.items()):
+    for (j, k), c in sorted(table.items()):
         row = {"j": j, "k": k, "C": c}
         if closed:
             w = closed_pair_concurrence(j, k, n, angle)
@@ -152,7 +139,7 @@ def entanglement_tables(state: CollisionState, system, reservoir) -> tuple[list,
             if k < j:
                 s += concurrence(rhos[(k, j)][_EXCHANGE]) ** 2
             elif k > j:
-                s += table.entries[(j, k)] ** 2
+                s += table[(j, k)] ** 2
         row = {"j": j, "tau": tau, "S": s}
         if closed:
             w = closed_tangle(j, n, angle)
@@ -173,19 +160,16 @@ def closed_pair_concurrence(j: int, k: int, n: int, angle: SwapAngle) -> float:
     return 2.0 * s**2 * c ** (j + k - 2)
 
 
-def closed_form_concurrences(n: int, n_reservoir: int, angle: SwapAngle) -> ConcurrenceTable:
-    """Full closed-form table for all pairs 0 <= j < k <= N after n collisions.
+def closed_form_concurrences(n: int, n_reservoir: int, angle: SwapAngle) -> dict:
+    """Closed-form C_jk of all pairs 0 <= j < k <= N after n collisions.
 
     The forms hold for the |1>/|0> start only; :func:`entanglement_tables`
     attaches them to a run after checking that with :func:`one_zero_start`.
     """
     if not 0 <= n <= n_reservoir:
         raise ValueError(f"collision count {n} out of range 0..{n_reservoir}")
-    entries = {}
-    for j in range(n_reservoir + 1):
-        for k in range(j + 1, n_reservoir + 1):
-            entries[(j, k)] = closed_pair_concurrence(j, k, n, angle)
-    return ConcurrenceTable(n, entries)
+    return {(j, k): closed_pair_concurrence(j, k, n, angle)
+            for j in range(n_reservoir + 1) for k in range(j + 1, n_reservoir + 1)}
 
 
 def closed_tangle(j: int, n: int, angle: SwapAngle) -> float:

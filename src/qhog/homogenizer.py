@@ -19,7 +19,6 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -109,27 +108,11 @@ def step_reservoir(rho: QubitState, xi: QubitState, angle: SwapAngle) -> QubitSt
     return QubitState(_step(xi.w.tolist(), rho.w.tolist(), *_weights(angle)))
 
 
-@dataclass(frozen=True)
-class AffineSuperOp:
-    """4x4 real matrix acting on (1, wx, wy, wz) affine state vectors."""
-
-    matrix: np.ndarray
-
-    def apply(self, rho: QubitState) -> QubitState:
-        out = self.matrix @ rho.affine()
-        return QubitState(out[1:])
-
-    @property
-    def block(self) -> np.ndarray:
-        """The lower-right 3x3 block acting on the Bloch vector alone."""
-        return self.matrix[1:, 1:]
-
-
-def superoperator(xi: QubitState, angle: SwapAngle) -> AffineSuperOp:
-    """Affine matrix of one collision step for reservoir state xi."""
+def superoperator(xi: QubitState, angle: SwapAngle) -> np.ndarray:
+    """Affine 4x4 matrix of one collision step on (1, wx, wy, wz) for reservoir state xi."""
     tx, ty, tz = xi.w
     s2, c2, cs2 = _weights(angle)
-    m = np.array(
+    return np.array(
         [
             [1.0, 0.0, 0.0, 0.0],
             [s2 * tx, c2, cs2 * tz, -cs2 * ty],
@@ -137,12 +120,6 @@ def superoperator(xi: QubitState, angle: SwapAngle) -> AffineSuperOp:
             [s2 * tz, cs2 * ty, -cs2 * tx, c2],
         ]
     )
-    return AffineSuperOp(m)
-
-
-def contraction_coefficient(angle: SwapAngle) -> float:
-    """Pairwise trace distances shrink by at least cos(eta) per step."""
-    return angle.c
 
 
 def closed_form_system(rho0: QubitState, xi: QubitState, angle: SwapAngle, n: int) -> QubitState:
@@ -153,7 +130,7 @@ def closed_form_system(rho0: QubitState, xi: QubitState, angle: SwapAngle, n: in
     """
     if n < 0:
         raise ValueError("step count must be non-negative")
-    block = superoperator(xi, angle).block
+    block = superoperator(xi, angle)[1:, 1:]
     w = (1.0 - angle.c ** (2 * n)) * xi.w + np.linalg.matrix_power(block, n) @ rho0.w
     return QubitState(w)
 
@@ -171,8 +148,6 @@ class TrajectoryStep:
 class Trajectory:
     """Per-collision record of the system and outgoing reservoir states (row 0: the inputs)."""
 
-    xi: QubitState
-    angle: SwapAngle
     system: np.ndarray
     reservoir_out: np.ndarray
     d_system: np.ndarray
@@ -211,7 +186,7 @@ def run_trajectory(rho0: QubitState, xi: QubitState, angle: SwapAngle, n_steps: 
         systems.append(w)
     states = _checked_bloch([systems, reservoirs], rows=True)  # QubitState's checks, once
     d_system, d_reservoir = 2.0 * _length(*np.moveaxis(states - xi.w, -1, 0))
-    return Trajectory(xi, angle, states[0], states[1], d_system, d_reservoir)
+    return Trajectory(states[0], states[1], d_system, d_reservoir)
 
 
 @dataclass(frozen=True)
@@ -243,17 +218,12 @@ def budget_from_delta(delta: float) -> HomogenizationBudget:
     return HomogenizationBudget(delta, eta_max, n_delta)
 
 
-class UniversalityResult(NamedTuple):
-    ok: bool
-    max_residual: float
-
-
-def check_universality(u) -> UniversalityResult:
+def check_universality(u) -> tuple[bool, float]:
     """Test whether a two-qubit unitary leaves every identical pair unchanged.
 
     Samples 64 random pure and as many random mixed qubit states rho (seed
     0) and checks that both partial traces of U (rho x rho) U+ equal rho
-    within 1e-9.  The residual is the largest trace-norm deviation seen.
+    within 1e-9.  Returns it and the residual, the largest trace-norm deviation seen.
     Partial swaps pass for every angle; generic unitaries fail.
     """
     u = np.asarray(u, dtype=complex)
@@ -271,4 +241,4 @@ def check_universality(u) -> UniversalityResult:
         for qubit in (0, 1):
             resid = trace_norm(partial_trace(out, [qubit]) - rho)
             worst = max(worst, resid)
-    return UniversalityResult(worst <= 1e-9, worst)
+    return worst <= 1e-9, worst

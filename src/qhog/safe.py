@@ -70,13 +70,6 @@ def bin_index(z: float) -> int:
 
 
 @dataclass(frozen=True)
-class UnwindTrial:
-    chosen_system: int
-    order: tuple[int, ...]
-    z: float
-
-
-@dataclass(frozen=True)
 class UnwindHistogram:
     """Binned z counts of one sweep plus reversal bookkeeping."""
 
@@ -109,7 +102,7 @@ class UnwindHistogram:
         }
 
 
-def unwind(state: CollisionState, chosen_system: int, order) -> UnwindTrial:
+def unwind(state: CollisionState, chosen_system: int, order) -> float:
     """Full-vector unwinding: inverse swaps between the chosen qubit and ``order``.
 
     ``order`` must be a permutation of all other qubit indices.  The input
@@ -125,8 +118,7 @@ def unwind(state: CollisionState, chosen_system: int, order) -> UnwindTrial:
     for q in order:
         apply_two_qubit(vec, n, state.angle, chosen_system, q, inverse=True)
     rho = CollisionState(vec, state.angle, []).reduced(chosen_system)
-    z = float((rho[0, 0] - rho[1, 1]).real)
-    return UnwindTrial(chosen_system, order, z)
+    return float((rho[0, 0] - rho[1, 1]).real)
 
 
 def unwind_z_excitation(amplitudes, chosen, orders, angle: SwapAngle) -> np.ndarray:

@@ -46,13 +46,9 @@ class CheckResult:
     seconds: float
 
 
-def _fail(msg: str):
-    raise CheckFailure(msg)
-
-
 def _require(cond: bool, msg: str):
     if not cond:
-        _fail(msg)
+        raise CheckFailure(msg)
 
 
 def _random_unitary(rng, dim: int) -> np.ndarray:
@@ -210,7 +206,7 @@ def check_homogenizer_three_way_agreement(rng, quick) -> str:
         rho, xi = random_state(rng), random_state(rng)
         angle = _random_angle(rng)
         direct = hmg.step_system(rho, xi, angle)
-        via_matrix = hmg.superoperator(xi, angle).apply(rho)
+        via_matrix = QubitState((hmg.superoperator(xi, angle) @ rho.affine())[1:])
         via_unitary = QubitState.from_density(_step_by_conjugation(rho, xi, angle))
         worst = max(
             worst,
@@ -367,7 +363,7 @@ def check_collision_sector(rng, quick) -> str:
     z_sector = safe.unwind_z_excitation(f, 0, orders, angle)
     worst_unwind = worst_off = 0.0
     for trial, order in enumerate(orders):
-        z = safe.unwind(forward, 0, order).z
+        z = safe.unwind(forward, 0, order)
         _require(-1.0 - 1e-12 <= z <= 1.0 + 1e-12, f"z out of range: {z}")
         worst_unwind = max(worst_unwind, abs(z - z_sector[trial]))
         if trial < 10:
@@ -515,7 +511,7 @@ def check_entanglement_vanishing(rng, quick) -> str:
         budget = hmg.budget_from_delta(delta)
         angle = hmg.SwapAngle(budget.eta_max)
         table = ent.closed_form_concurrences(budget.n_delta, budget.n_delta, angle)
-        maxima.append(max(table.entries.values()))
+        maxima.append(max(table.values()))
     for a, b in zip(maxima, maxima[1:]):
         _require(b < a, f"pairwise concurrence maxima not vanishing: {maxima}")
     _require(maxima[-1] < 0.06, f"residual concurrence {maxima[-1]} too large")

@@ -83,7 +83,7 @@ def test_criterion_03_three_way_agreement():
             rho, xi = random_state(rng), random_state(rng)
             angle = random_angle(rng)
             direct = step_system(rho, xi, angle)
-            via_matrix = superoperator(xi, angle).apply(rho)
+            via_matrix = QubitState((superoperator(xi, angle) @ rho.affine())[1:])
             p = partial_swap_unitary(angle)
             joint = p @ tensor_product(rho.density(), xi.density()) @ p.conj().T
             via_unitary = QubitState.from_density(partial_trace(joint, [0]))

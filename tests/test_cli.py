@@ -12,8 +12,9 @@ import pytest
 import qhog
 from qhog.bloch import QubitState
 from qhog.cli import main, parse_ket, parse_state
-from qhog.collision import run_pure
-from qhog.homogenizer import SwapAngle, run_trajectory
+from qhog.collision import excitation_forward_run, run_pure
+from qhog.homogenizer import SwapAngle, budget_from_delta, run_trajectory
+from qhog.verify import CONCURRENCE_FLOOR
 
 
 def run_cli(capsys, *argv):
@@ -283,6 +284,31 @@ def test_entangle_outside_regime_drops_closed_forms(capsys):
     summary = json.loads(err)
     assert summary["closed_forms"] is True
     assert summary["max_residual_pairs"] <= 1e-8
+
+
+@pytest.mark.parametrize("argv,eta,system,order", [
+    (["--delta", "0.2", "--n", "10", "--order", "4,7,1,10,2,9,3,8,5,6"],
+     budget_from_delta(0.2).eta_max, "one", [4, 7, 1, 10, 2, 9, 3, 8, 5, 6]),
+    (["--eta", "0.3", "--n", "5", "--system", "plus"], 0.3, "plus", None),
+], ids=["scrambled", "plus"])
+def test_entangle_rows_match_sector_forms(capsys, argv, eta, system, order):
+    # against the |0> reservoir a run from psi holds the vacuum plus beta = <1|psi>
+    # times the sector amplitudes f_j of its order: C_jk = 2|f_j||f_k||beta|^2 and
+    # tau_j = S_j = 4 p_j (|beta|^2 - p_j) with p_j = |beta f_j|^2
+    code, out, _ = run_cli(capsys, "entangle", *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    f = [abs(a) for a in excitation_forward_run(doc["n"], SwapAngle(eta), order).amplitudes]
+    weight = 1.0 - abs(parse_ket("zero").conj() @ parse_ket(system)) ** 2
+    for row in doc["pairs"]:
+        c, want = row["C"], 2.0 * f[row["j"]] * f[row["k"]] * weight
+        # the reading is 0.0 below the floor, and either value right at it
+        err = min(abs(c - want), c) if want < 1.01 * CONCURRENCE_FLOOR else abs(c - want)
+        assert err <= 1e-8, row
+    for row in doc["tangles"]:
+        p = weight * f[row["j"]] ** 2
+        want = 4.0 * p * (weight - p)
+        assert abs(row["tau"] - want) <= 1e-8 and abs(row["S"] - want) <= 1e-8, row
 
 
 def test_entangle_csv_files(tmp_path, capsys):
@@ -603,10 +629,39 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "simulate", "--eta", "0.3", "--n", "3", "--order", order)
         assert (code, out) == (2, "")
         assert err == f"error: --order must be comma-separated integers, got {order!r}\n"
+    for argv, want in [
+        (("verify", "--seed", "-1"), "error: --seed must be a non-negative integer, got -1\n"),
+        (("homogenize", "--eta", "0.3", "--n", "3", "--reservoir", "x,y,z"),
+         "error: --reservoir 'x,y,z': could not convert string to float: 'x'\n"),
+        (("simulate", "--eta", "0.3", "--n", "3", "--reservoir", "0,0,0"),
+         "error: --reservoir '0,0,0': Bloch vector of length 0.0 is not pure\n"),
+        (("entangle", "--eta", "0.3", "--n", "3", "--system", "0,0,1", "--format", "json"),
+         "error: --system '0,0,1': Bloch vector length 1.0 exceeds 1/2\n"),
+    ]:
+        assert run_cli(capsys, *argv) == (2, "", want)
     monkeypatch.setenv("QHOG_MAX_QUBITS", "abc")
     code, out, err = run_cli(capsys, "simulate", "--eta", "0.3", "--n", "3")
     assert (code, out) == (2, "")
     assert err == "error: QHOG_MAX_QUBITS must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("buffering", [{}, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_ends_in_one_error_line(buffering):
+    # the streamed CSV dump writes in chunks, so the write after the reader
+    # has gone fails with a broken pipe, with Python's stdout buffer or without
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(buffering, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "qhog", "simulate", "--eta", "0.3", "--n", "16",
+            "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"basis,re,im\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read().decode()
+    assert "Traceback" not in err
+    assert (code, err) == (2, "error: cannot write stdout: Broken pipe\n")
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

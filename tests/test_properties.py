@@ -8,7 +8,7 @@ import pytest
 import qhog.homogenizer
 from qhog import collision as col
 from qhog import safe, verify
-from qhog.homogenizer import AffineSuperOp, SwapAngle
+from qhog.homogenizer import SwapAngle
 
 # the names and order `qhog verify` prints; one check_<layer>_<name> function each
 CHECK_NAMES = [
@@ -82,7 +82,7 @@ def _sector_diagonality(rng):
     forward = col.init_pure(KET_ONE, KET_ZERO, n, angle).run()
     for _ in range(10):
         order = [int(q) + 1 for q in rng.permutation(n)]
-        z = safe.unwind(forward, 0, order).z
+        z = safe.unwind(forward, 0, order)
         assert -1.0 - 1e-12 <= z <= 1.0 + 1e-12, f"z out of range: {z}"
         vec = forward.vector.copy()
         for q in order:
@@ -98,7 +98,7 @@ def _fast_path_spot(rng):
     f = col.excitation_forward_run(n, angle).amplitudes
     orders = [[int(q) + 1 for q in rng.permutation(n)] for _ in range(1000)]
     for order, z in zip(orders, safe.unwind_z_excitation(f, 0, orders, angle)):
-        assert abs(safe.unwind(forward, 0, order).z - z) <= 1e-12
+        assert abs(safe.unwind(forward, 0, order) - z) <= 1e-12
 
 
 # the sector-vs-full-vector assertions that `verify` runs inside collision.sector,
@@ -125,9 +125,9 @@ def test_suites_catch_sign_mutation(monkeypatch):
     real = qhog.homogenizer.superoperator
 
     def flipped(xi, angle):
-        m = real(xi, angle).matrix.copy()
+        m = real(xi, angle)
         m[1:, 1:] = m[1:, 1:].T  # transposing the block flips the cross-product part
-        return AffineSuperOp(m)
+        return m
 
     monkeypatch.setattr(qhog.homogenizer, "superoperator", flipped)
     result = verify.run_check("homogenizer.three_way_agreement", seed=0, quick=False)
