@@ -469,6 +469,19 @@ _PINNED = [
     (["homogenize", "--delta", "0.02", "--format", "json"],
      {"": "30b67564c9983289a853ffa45370b6d8893bcc4212c40e141462d5167c4bf62e",
       "stderr": "3a7a39243d7249ffc90b356fd2b7bab2ba681ee8180ffe9c7c90b092c9d09382"}),
+    # captured while the safe formats and the trajectory CSV were still methods of
+    # the result classes, and the wx,wy,wz parser a method of QubitState
+    (["safe", "--delta", "0.1", "--n", "8", "--mode", "incorrect", "--format", "json"],
+     {"": "3ef4e990f8f1c1fa7d5e3686ada9e4012b91d70535051bd7ec742d4061c53c7a",
+      "stderr": "29a98c7d7e2edb2ca46c6b14f3638b822e16966f54ad6440311759e355430649"}),
+    (["safe", "--delta", "0.1", "--n", "9", "--mode", "incorrect", "--sample", "10000",
+      "--seed", "1", "--format", "json"],
+     {"": "be6b9837683749497c69c8d7c1c021d17220c4657227c4a28290ed2fcc88539f",
+      "stderr": "a85cc555693b881b1cba5b3a42b41859a096da1d9767000bf7ca659d870ab440"}),
+    (["homogenize", "--eta", "0.4", "--n", "50", "--system", "0,0,0",
+      "--reservoir", "0.1,0.2,-0.3"],
+     {"": "1e8417c3c147c89750af3bebb47e48d2328eb5d11abe7cf3a73ba037b81d14b7",
+      "stderr": "1cef646c706824baec4306f23fd8c15803881ae1f3d8132f744c493be1767246"}),
 ]
 
 
