@@ -85,17 +85,6 @@ class QubitState:
     def from_density(cls, rho) -> "QubitState":
         return cls(bloch_from_density(rho))
 
-    @classmethod
-    def from_text(cls, text: str) -> "QubitState":
-        """Parse 'wx,wy,wz' as produced by :meth:`to_text`."""
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"expected three comma-separated components, got {text!r}")
-        return cls([float(p) for p in parts])
-
-    def to_text(self) -> str:
-        return ",".join(f"{x:.17g}" for x in self.w)
-
     def density(self) -> np.ndarray:
         return density_from_bloch(self.w)
 

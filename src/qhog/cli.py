@@ -8,9 +8,12 @@ Each subcommand reads only its own flags: homogenize --eta|--delta [--n
 States are given either as a ket keyword (zero, one, plus) or as three
 comma-separated Bloch components in the half-radius convention.  --delta
 is a target homogenization precision; it sets sin(eta) = sqrt(delta/2).
-Data goes to --out or stdout; a one-line JSON summary goes to stderr.
+This module parses every flag and formats every byte written; the library
+layers take and return numbers.  Data goes to --out or stdout; a one-line
+JSON summary goes to stderr.
 Exit status is 1 when a requested check fails, with the failure recorded
-in the summary, and 2, with one ``error:`` line, for any invalid input.
+in the summary, and 2, with one ``error:`` line, for any invalid input or
+unwritable output.
 
 The global-state commands cap the total qubit count at 22 unless the
 QHOG_MAX_QUBITS environment variable overrides it.
@@ -27,10 +30,10 @@ import sys
 import numpy as np
 
 from .bloch import QubitState, ket_from_bloch
-from .collision import run_mixed_system, run_pure
+from .collision import _checked_order, run_mixed_system, run_pure
 from .entanglement import entanglement_tables
 from .homogenizer import HomogenizationBudget, SwapAngle, budget_from_delta, run_trajectory
-from .safe import sweep_correct, sweep_incorrect
+from .safe import bin_centers, sweep_correct, sweep_incorrect
 
 _KETS = {
     "zero": np.array([1.0, 0.0], dtype=complex),
@@ -41,15 +44,19 @@ _BLOCH_KEYWORDS = {"zero": (0, 0, 0.5), "one": (0, 0, -0.5), "plus": (0.5, 0, 0)
 
 
 def parse_state(text: str) -> QubitState:
+    """A ket keyword, or 'wx,wy,wz' as three Bloch components."""
     if text in _BLOCH_KEYWORDS:
         return QubitState(_BLOCH_KEYWORDS[text])
-    return QubitState.from_text(text)
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"expected three comma-separated components, got {text!r}")
+    return QubitState([float(p) for p in parts])
 
 
 def parse_ket(text: str) -> np.ndarray:
     if text in _KETS:
         return _KETS[text]
-    return ket_from_bloch(QubitState.from_text(text).w)
+    return ket_from_bloch(parse_state(text).w)
 
 
 def _state(parse, args, flag: str):
@@ -58,6 +65,14 @@ def _state(parse, args, flag: str):
         return parse(getattr(args, flag))
     except ValueError as exc:
         raise ValueError(f"--{flag} {getattr(args, flag)!r}: {exc}") from None
+
+
+def _check_counts(args) -> None:
+    """Reject a ``--n`` or ``--sample`` below 1, naming the flag."""
+    for flag in ("n", "sample"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {value}")
 
 
 def _seed(seed: int) -> int:
@@ -152,6 +167,14 @@ def _trajectory_json(traj) -> str:
     return "[\n" + ",\n".join(records) + "\n]\n"
 
 
+def _trajectory_csv(traj) -> str:
+    """The trajectory's rows, one string each: no dict per row for up to 2^20 steps."""
+    rows = ["n,wx,wy,wz,txp,typ,tzp,D_sys,D_res"]
+    cols = np.column_stack([traj.system, traj.reservoir_out, traj.d_system, traj.d_reservoir])
+    rows += (f"{n}," + ",".join(f"{v:.17g}" for v in vals) for n, vals in enumerate(cols.tolist()))
+    return "\n".join(rows) + "\n"
+
+
 def cmd_homogenize(args) -> int:
     angle, budget = _resolve_angle(args)
     if args.n is None and budget is None:
@@ -161,7 +184,7 @@ def cmd_homogenize(args) -> int:
     rho0 = _state(parse_state, args, "system")
     xi = _state(parse_state, args, "reservoir")
     traj = run_trajectory(rho0, xi, angle, n)
-    _write(args.out, traj.to_csv() if args.format == "csv" else _trajectory_json(traj))
+    _write(args.out, _trajectory_csv(traj) if args.format == "csv" else _trajectory_json(traj))
     final_d = float(traj.d_system[-1])
     max_res = float(traj.d_reservoir[1:].max())
     # the budget covers a system on the reservoir's Bloch axis (the orthogonal
@@ -194,18 +217,23 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _parse_order(text: str | None):
-    if text is None:
+def _parse_order(args):
+    """``--order`` as reservoir indices, checked against ``--n``."""
+    if args.order is None:
         return None
     try:
-        return [int(tok) for tok in text.split(",")]
+        order = [int(tok) for tok in args.order.split(",")]
     except ValueError:
-        raise ValueError(f"--order must be comma-separated integers, got {text!r}") from None
+        raise ValueError(f"--order must be comma-separated integers, got {args.order!r}") from None
+    try:
+        return _checked_order(order, args.n)
+    except ValueError as exc:
+        raise ValueError(f"--order {args.order!r}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:
     angle, _ = _resolve_angle(args)
-    order = _parse_order(args.order)
+    order = _parse_order(args)
     reservoir = _state(parse_ket, args, "reservoir")
     system_state = _state(parse_state, args, "system")
     if system_state.is_pure():
@@ -241,7 +269,7 @@ def cmd_entangle(args) -> int:
         raise ValueError("entangle with --format csv needs --out (two files are written)")
     system = _state(parse_ket, args, "system")
     reservoir = _state(parse_ket, args, "reservoir")
-    state = run_pure(system, reservoir, args.n, angle, _parse_order(args.order))
+    state = run_pure(system, reservoir, args.n, angle, _parse_order(args))
     pairs, tangles = entanglement_tables(state, system, reservoir)
     if args.format == "csv":
         _write(args.out + "_pairs.csv", _csv(pairs))
@@ -263,21 +291,16 @@ def cmd_safe(args) -> int:
     seed = 0 if args.seed is None else _seed(args.seed)
     sweep = sweep_correct if args.mode == "correct" else sweep_incorrect
     hist = sweep(args.n, angle, sample=args.sample, seed=seed)
+    bins = list(zip(bin_centers(), hist.counts))
+    report = {"N": args.n, "eta": angle.eta, "total_trials": hist.total_trials,
+              "exact_reversals": hist.exact_reversals}
     if args.format == "csv":
-        _write(args.out, hist.to_csv())
+        _write(args.out, "z_center,count\n" + "".join(f"{z!r},{k}\n" for z, k in bins))
     else:
-        _write(args.out, _dump_json(hist.to_json_dict()))
-    _summary(
-        {
-            "command": "safe",
-            "ok": True,
-            "mode": args.mode,
-            "N": args.n,
-            "eta": angle.eta,
-            "total_trials": hist.total_trials,
-            "exact_reversals": hist.exact_reversals,
-        }
-    )
+        _write(args.out, _dump_json({**report, "chosen_system_mode": args.mode,
+                                     "near_reversals": hist.near_reversals,
+                                     "bins": [{"z_center": z, "count": k} for z, k in bins]}))
+    _summary({"command": "safe", "ok": True, "mode": args.mode, **report})
     return 0
 
 
@@ -364,11 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_counts(args)
         return args.fn(args)
     except ValueError as exc:  # an argument or path may hold a newline; keep one line
         sys.stderr.write("error: " + str(exc).replace("\n", "\\n") + "\n")
         return 2
-    except BrokenPipeError as exc:
+    except OSError as exc:  # _write reports --out itself, so this is stdout: closed or full
         # stdout stays unwritable, so the interpreter's last flush must not reach it
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"error: cannot write stdout: {exc.strerror}\n")

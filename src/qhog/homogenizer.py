@@ -15,7 +15,6 @@ numeric test for which two-qubit unitaries leave identical pairs alone.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,8 +24,6 @@ import numpy as np
 from .bloch import (QubitState, _checked_bloch, _length, density_from_bloch, random_pure_state,
                     random_state)
 from .linalg import is_unitary, partial_trace, tensor_product, trace_norm
-
-log = logging.getLogger(__name__)
 
 # the longest trajectory run_trajectory records; a million steps hold about 700 MB
 MAX_STEPS = 1 << 20
@@ -57,10 +54,7 @@ class SwapAngle:
         if not math.isfinite(eta):
             raise ValueError(f"the swap angle must be finite, got {eta}")
         s, c = math.sin(eta), math.cos(eta)
-        folded = math.atan2(abs(s), abs(c))
-        if abs(folded - eta) > 1e-15:
-            log.info("folding swap angle %.6g into [0, pi/2] as %.6g", eta, folded)
-        object.__setattr__(self, "eta", folded)
+        object.__setattr__(self, "eta", math.atan2(abs(s), abs(c)))
         object.__setattr__(self, "s", abs(s))
         object.__setattr__(self, "c", abs(c))
 
@@ -164,13 +158,6 @@ class Trajectory:
         ds = zip(self.d_system.tolist(), self.d_reservoir.tolist())
         return [TrajectoryStep(n, QubitState(w), QubitState(t), *d)
                 for n, (w, t, d) in enumerate(zip(self.system, self.reservoir_out, ds))]
-
-    def to_csv(self) -> str:
-        rows = ["n,wx,wy,wz,txp,typ,tzp,D_sys,D_res"]
-        cols = np.column_stack([self.system, self.reservoir_out, self.d_system, self.d_reservoir])
-        for n, vals in enumerate(cols.tolist()):
-            rows.append(f"{n}," + ",".join(f"{v:.17g}" for v in vals))
-        return "\n".join(rows) + "\n"
 
 
 def run_trajectory(rho0: QubitState, xi: QubitState, angle: SwapAngle, n_steps: int) -> Trajectory:

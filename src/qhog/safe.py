@@ -5,7 +5,8 @@ inverse partial swap in the exact reverse order restores the original
 state; any other order does not.  This module replays every possible
 unwinding order, reads off the sigma_z parameter z of the qubit guessed
 to be the system (z = -1 means perfect recovery of |1>), and bins the
-results into a fixed 21-bin histogram over [-1, 1].
+results into a fixed 21-bin histogram over [-1, 1].  A sweep returns the
+counts and trial totals only; ``qhog.cli`` writes them as CSV or JSON.
 
 The sweeps run in the one-excitation sector.  With a unit phase per
 inverse collision divided out, unwinding the chosen qubit j against slot
@@ -71,35 +72,12 @@ def bin_index(z: float) -> int:
 
 @dataclass(frozen=True)
 class UnwindHistogram:
-    """Binned z counts of one sweep plus reversal bookkeeping."""
+    """Binned z counts of one sweep (bins at ``bin_centers()``) plus reversal bookkeeping."""
 
     counts: tuple[int, ...]
     total_trials: int
-    n_reservoir: int
-    eta: float
-    chosen_system_mode: str
     exact_reversals: int
     near_reversals: int
-
-    def to_csv(self) -> str:
-        rows = ["z_center,count"]
-        for center, count in zip(bin_centers(), self.counts):
-            rows.append(f"{center!r},{count}")
-        return "\n".join(rows) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.n_reservoir,
-            "eta": self.eta,
-            "chosen_system_mode": self.chosen_system_mode,
-            "total_trials": self.total_trials,
-            "exact_reversals": self.exact_reversals,
-            "near_reversals": self.near_reversals,
-            "bins": [
-                {"z_center": center, "count": count}
-                for center, count in zip(bin_centers(), self.counts)
-            ],
-        }
 
 
 def unwind(state: CollisionState, chosen_system: int, order) -> float:
@@ -326,9 +304,7 @@ def _sweep(mode: str, n_reservoir: int, angle, sample, seed) -> UnwindHistogram:
         near += int(np.count_nonzero(d <= NEAR_REVERSAL_TOL))
         exact += int(np.count_nonzero(d <= EXACT_REVERSAL_TOL))
         total += z.size
-    return UnwindHistogram(
-        tuple(int(x) for x in counts), total, n_reservoir, angle.eta, mode, exact, near
-    )
+    return UnwindHistogram(tuple(int(x) for x in counts), total, exact, near)
 
 
 def sweep_correct(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qhog.bloch import QubitState, bloch_from_ket, random_state, trace_distance
+from qhog.cli import main
 from qhog.collision import init_pure
 from qhog.entanglement import (
     ckw_sum,
@@ -182,7 +183,8 @@ def test_criterion_09_quantum_safe_correct_sweep(tmp_path):
         in_low_bins = sum(hist.counts[:11])  # bins centered at -1.0 .. 0.0
         assert in_low_bins > hist.total_trials / 2
         out_file = tmp_path / "correct.csv"
-        out_file.write_text(hist.to_csv())
+        argv = ["safe", "--delta", "0.1", "--n", "9", "--mode", "correct", "--out", str(out_file)]
+        assert main(argv) == 0
         lines = out_file.read_text().strip().split("\n")
         assert lines[0] == "z_center,count" and len(lines) == 22
 

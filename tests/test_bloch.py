@@ -11,6 +11,7 @@ from qhog.bloch import (
     random_state,
     trace_distance,
 )
+from qhog.cli import parse_state
 from qhog.linalg import I2, trace_norm
 
 
@@ -76,10 +77,10 @@ def test_qubit_state_immutable():
 
 def test_text_round_trip():
     state = QubitState([0.125, -0.25, 0.0625])
-    again = QubitState.from_text(state.to_text())
+    again = parse_state(",".join(f"{x:.17g}" for x in state.w))
     assert np.array_equal(again.w, state.w)
-    with pytest.raises(ValueError):
-        QubitState.from_text("0.1,0.2")
+    with pytest.raises(ValueError, match="three comma-separated components"):
+        parse_state("0.1,0.2")
 
 
 def test_samplers_respect_radius():

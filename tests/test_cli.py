@@ -650,6 +650,15 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
          "error: --reservoir '0,0,0': Bloch vector of length 0.0 is not pure\n"),
         (("entangle", "--eta", "0.3", "--n", "3", "--system", "0,0,1", "--format", "json"),
          "error: --system '0,0,1': Bloch vector length 1.0 exceeds 1/2\n"),
+        *(((command, "--eta", "0.3", "--n", "0", "--format", "json"),
+           "error: --n must be at least 1, got 0\n")
+          for command in ("simulate", "entangle", "homogenize", "safe")),
+        (("simulate", "--eta", "0.3", "--n", "3", "--order", "1,1"),
+         "error: --order '1,1': collision order contains repeats: [1, 1]\n"),
+        (("entangle", "--eta", "0.3", "--n", "3", "--order", "1,5", "--format", "json"),
+         "error: --order '1,5': reservoir index 5 out of range 1..3\n"),
+        *((("safe", "--delta", "0.1", "--sample", sample),
+           f"error: --sample must be at least 1, got {sample}\n") for sample in ("0", "-5")),
     ]:
         assert run_cli(capsys, *argv) == (2, "", want)
     monkeypatch.setenv("QHOG_MAX_QUBITS", "abc")
@@ -675,6 +684,23 @@ def test_closed_stdout_ends_in_one_error_line(buffering):
         err = proc.stderr.read().decode()
     assert "Traceback" not in err
     assert (code, err) == (2, "error: cannot write stdout: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("buffering", [{}, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+def test_full_stdout_ends_in_one_error_line(buffering):
+    # every write to /dev/full fails with ENOSPC: the unbuffered run at the
+    # first write, the buffered one when the data is flushed before the summary
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(buffering, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "qhog", "simulate", "--eta", "0.3", "--n", "3",
+            "--format", "json"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        2, b"error: cannot write stdout: No space left on device\n")
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

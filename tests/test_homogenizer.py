@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qhog.bloch import QubitState, random_pure_state, random_state, trace_distance
+from qhog.cli import _trajectory_csv
 from qhog.homogenizer import (
     SWAP,
     SwapAngle,
@@ -195,7 +196,7 @@ def test_trajectory_monotone_and_weights():
 
 def test_trajectory_csv_shape():
     traj = run_trajectory(QubitState([0, 0, -0.5]), QubitState([0, 0, 0.5]), SwapAngle(0.2), 3)
-    lines = traj.to_csv().strip().split("\n")
+    lines = _trajectory_csv(traj).strip().split("\n")
     assert lines[0] == "n,wx,wy,wz,txp,typ,tzp,D_sys,D_res"
     assert len(lines) == 5
     assert lines[1].startswith("0,")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qhog import safe
+from qhog.cli import main
 from qhog.collision import excitation_forward_run, init_pure
 from qhog.homogenizer import SwapAngle, budget_from_delta
 from qhog.safe import (
@@ -237,8 +238,6 @@ def test_sweep_correct_small():
     assert hist.total_trials == 120
     assert sum(hist.counts) == 120
     assert hist.exact_reversals == 1
-    assert hist.chosen_system_mode == "correct"
-    assert hist.n_reservoir == 5
 
 
 def test_sweep_incorrect_small():
@@ -273,14 +272,16 @@ def test_sweep_rejects_bad_sizes():
                 sweep(4, ANGLE, sample=sample)
 
 
-def test_histogram_serialization():
-    hist = sweep_correct(4, ANGLE)
-    lines = hist.to_csv().strip().split("\n")
+def test_histogram_serialization(capsys):
+    argv = ["safe", "--eta", str(ANGLE.eta), "--n", "4", "--mode", "correct"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "z_center,count"
     assert len(lines) == 1 + NUM_BINS
     assert lines[1].startswith("-1,") or lines[1].startswith("-1.0,")
 
-    payload = hist.to_json_dict()
+    assert main([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["N"] == 4
     assert payload["chosen_system_mode"] == "correct"
     assert payload["total_trials"] == 24
