@@ -11,9 +11,8 @@ is a target homogenization precision; it sets sin(eta) = sqrt(delta/2).
 This module parses every flag and formats every byte written; the library
 layers take and return numbers.  Data goes to --out or stdout; a one-line
 JSON summary goes to stderr.
-Exit status is 1 when a requested check fails, with the failure recorded
-in the summary, and 2, with one ``error:`` line, for any invalid input or
-unwritable output.
+Exit status is 1 when a requested check fails (recorded in the summary)
+and 2, with one ``error:`` line, for any invalid input or unwritable output.
 
 The global-state commands cap the total qubit count at 22 unless the
 QHOG_MAX_QUBITS environment variable overrides it.
