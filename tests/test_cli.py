@@ -482,6 +482,17 @@ _PINNED = [
       "--reservoir", "0.1,0.2,-0.3"],
      {"": "1e8417c3c147c89750af3bebb47e48d2328eb5d11abe7cf3a73ba037b81d14b7",
       "stderr": "1cef646c706824baec4306f23fd8c15803881ae1f3d8132f744c493be1767246"}),
+    # captured while the JSON dump still formatted every zero amplitude with repr
+    # and the pair states were still reduced one at a time: a sparse dump of the
+    # one-excitation sector, and the tables of a dense state
+    (["simulate", "--delta", "0.2", "--n", "12", "--order", "2,1,3,4,5,6,7,8,9,10,11,12",
+      "--format", "json"],
+     {"": "7a194b713100ed68eee4e974e1073da155a8c365efdf41cf6bd4417b89d5b2d5",
+      "stderr": "e4e8b744c288aec9c1c5204ad224ea31101ccc0eec2674f43e25183d7f56f862"}),
+    (["entangle", "--eta", "0.3", "--n", "8", "--system", "0.3,0,0.4", "--reservoir", "plus",
+      "--format", "json"],
+     {"": "9aef1ccdc5c909d65168bb64b979d78b5d6d7403c1f1a0cca263456242c03cc1",
+      "stderr": "eefe400bf5519923eca1a40c4fbf47a83f805ff764f9afab5e4eb3dca21d44ce"}),
 ]
 
 
