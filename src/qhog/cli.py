@@ -11,6 +11,10 @@ is a target homogenization precision; it sets sin(eta) = sqrt(delta/2).
 This module parses every flag and formats every byte written; the library
 layers take and return numbers.  Data goes to --out or stdout; a one-line
 JSON summary goes to stderr.
+The JSON amplitude dump writes each run of amplitudes whose components
+are both +0.0 (all of them but N+1 in the |1>/|0> run's one-excitation
+sector) as one repeated constant row, and every other amplitude with
+float repr, so its bytes are those of json.dumps.
 Exit status is 1 when a requested check fails (recorded in the summary)
 and 2, with one ``error:`` line, for any invalid input or unwritable output.
 
@@ -31,7 +35,8 @@ import numpy as np
 from .bloch import QubitState, ket_from_bloch
 from .collision import _checked_order, run_mixed_system, run_pure
 from .entanglement import entanglement_tables
-from .homogenizer import HomogenizationBudget, SwapAngle, budget_from_delta, run_trajectory
+from .homogenizer import (MAX_STEPS, HomogenizationBudget, SwapAngle, budget_from_delta,
+                          run_trajectory)
 from .safe import bin_centers, sweep_correct, sweep_incorrect
 
 _KETS = {
@@ -125,7 +130,8 @@ def _write_amplitudes(out: str | None, vec: np.ndarray, head: str, rows, sep: st
                       tail: str) -> None:
     """Write ``head``, the rows of ``vec`` joined by ``sep``, and ``tail``, one chunk per write.
 
-    ``rows(start, amps)`` formats the chunk ``amps = vec[start:start + _DUMP_CHUNK]``.
+    ``rows(start, amps)`` formats the chunk ``amps = vec[start:start + _DUMP_CHUNK]`` as
+    pieces that ``sep`` joins: single rows, or runs of rows already joined by ``sep``.
     """
     _write(out, head)
     for start in range(0, vec.size, _DUMP_CHUNK):
@@ -134,9 +140,27 @@ def _write_amplitudes(out: str | None, vec: np.ndarray, head: str, rows, sep: st
     _write(out, tail, "a")
 
 
+# the separator between two [re, im] rows of the JSON dump, and a row of two +0.0
+_JSON_SEP = "\n    ],\n    [\n      "
+_JSON_ZERO = "0.0,\n      0.0"
+
+
 def _json_rows(start: int, amps: np.ndarray):
-    reprs = map(float.__repr__, amps.view(np.float64).tolist())
-    return map(",\n      ".join, zip(reprs, reprs))
+    """The rows of ``amps``, one piece per maximal run of zero or nonzero amplitudes.
+
+    A zero amplitude has both components +0.0, whose bits are all 0 (-0.0
+    is not zero here and keeps its sign); its row is the constant
+    ``_JSON_ZERO``, so a run of them costs one string repetition.
+    """
+    bits = amps.view(np.uint64).reshape(-1, 2)
+    zero = (bits[:, 0] | bits[:, 1]) == 0
+    edges = [0, *(np.flatnonzero(np.diff(zero)) + 1).tolist(), zero.size]
+    for a, b in zip(edges, edges[1:]):
+        if zero[a]:
+            yield (_JSON_ZERO + _JSON_SEP) * (b - a - 1) + _JSON_ZERO
+        else:
+            reprs = map(float.__repr__, amps[a:b].view(np.float64).tolist())
+            yield _JSON_SEP.join(map(",\n      ".join, zip(reprs, reprs)))
 
 
 def _csv_rows(start: int, amps: np.ndarray):
@@ -153,8 +177,8 @@ def _write_json_with_amplitudes(out: str | None, payload: dict, vec: np.ndarray)
     """
     head, tail = _dump_json({**payload, "amplitudes": _AMPLITUDES_MARK}).split(
         json.dumps(_AMPLITUDES_MARK))
-    _write_amplitudes(out, vec, head + "[\n    [\n      ", _json_rows,
-                      "\n    ],\n    [\n      ", "\n    ]\n  ]" + tail)
+    _write_amplitudes(out, vec, head + "[\n    [\n      ", _json_rows, _JSON_SEP,
+                      "\n    ]\n  ]" + tail)
 
 
 def _trajectory_json(traj) -> str:
@@ -178,6 +202,8 @@ def cmd_homogenize(args) -> int:
     angle, budget = _resolve_angle(args)
     if args.n is None and budget is None:
         raise ValueError("--n is required when the angle is given via --eta")
+    if args.n is not None and args.n > MAX_STEPS:
+        raise ValueError(f"--n must be at most {MAX_STEPS}, got {args.n}")
     n = budget.n_delta if args.n is None else args.n
     delta = None if budget is None else budget.delta
     rho0 = _state(parse_state, args, "system")
@@ -283,7 +309,18 @@ def cmd_entangle(args) -> int:
     return 0
 
 
+# the most orders an exhaustive sweep may take: 12!, about a minute of leaves
+_MAX_ORDERS = math.factorial(12)
+
+
 def cmd_safe(args) -> int:
+    # N! orders for the correct sweep, N N! for the incorrect one; both grow
+    # with N, so N = 13 bounds the factorial without changing the verdict
+    n = min(args.n, 13)
+    orders = math.factorial(n) * (1 if args.mode == "correct" else n)
+    if args.sample is None and orders > _MAX_ORDERS:
+        raise ValueError(f"--n {args.n}: the exhaustive {args.mode} sweep takes more than "
+                         f"12! = {_MAX_ORDERS} orders; draw some of them with --sample")
     angle, _ = _resolve_angle(args)
     if args.seed is not None and args.sample is None:
         raise ValueError("--seed needs --sample: the full sweep draws nothing")

@@ -12,6 +12,8 @@ states or one of those closed forms, so each can check the other.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .collision import CollisionState
@@ -94,10 +96,32 @@ def ckw_sum(state: CollisionState, j: int) -> float:
 _EXCHANGE = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
 
 
+def _reduced_states(state: CollisionState, keeps) -> list[np.ndarray]:
+    """``state.reduced(keep)`` for each entry of ``keeps``, on one thread per usable CPU.
+
+    Each reduction owns its buffers and only reads the vector, and its numpy
+    loops release the GIL, so the reductions run side by side with the bits
+    of one-at-a-time calls.
+    """
+    # imported here: concurrent.futures loads logging, which no other command needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(state.reduced, keeps))
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return [(j, k) for j in range(n) for k in range(j + 1, n)]
+
+
 def pair_states(state: CollisionState) -> dict[tuple[int, int], np.ndarray]:
     """Reduced density matrix of every pair (j, k), j < k: one reduction each."""
-    n = state.num_qubits
-    return {(j, k): state.reduced([j, k]) for j in range(n) for k in range(j + 1, n)}
+    pairs = _pairs(state.num_qubits)
+    return dict(zip(pairs, _reduced_states(state, pairs)))
 
 
 def concurrence_table(rhos) -> dict[tuple[int, int], float]:
@@ -114,7 +138,9 @@ def one_zero_start(system, reservoir) -> bool:
 def entanglement_tables(state: CollisionState, system, reservoir) -> tuple[list, list]:
     """Pair rows {j, k, C} and tangle rows {j, tau, S} of a run from ``system`` and ``reservoir``.
 
-    Every pair is reduced once.  S_j adds C(rho_jk)^2 in k order, as
+    Every pair and every qubit is reduced once, all in one pass of
+    :func:`_reduced_states`; the concurrences and tangles are then taken in
+    order on the calling thread.  S_j adds C(rho_jk)^2 in k order, as
     :func:`ckw_sum` does; for k < j the pair state is rho_kj with its qubits
     exchanged, and its concurrence is taken anew, because the numeric
     concurrence is not symmetric under the exchange to the last bit.  For a
@@ -122,7 +148,9 @@ def entanglement_tables(state: CollisionState, system, reservoir) -> tuple[list,
     each row also holds C_closed or S_closed (the closed form of tau_j and
     of S_j) and its residual.
     """
-    rhos = pair_states(state)
+    keys = _pairs(state.num_qubits)
+    reduced = _reduced_states(state, keys + list(range(state.num_qubits)))
+    rhos, singles = dict(zip(keys, reduced)), reduced[len(keys):]
     table = concurrence_table(rhos)
     n, angle = len(state.log), state.angle
     closed = one_zero_start(system, reservoir) and state.log == list(range(1, n + 1))
@@ -134,7 +162,7 @@ def entanglement_tables(state: CollisionState, system, reservoir) -> tuple[list,
             row |= {"C_closed": w, "residual": abs(c - w)}
         pairs.append(row)
     for j in range(state.num_qubits):
-        tau, s = _tangle(state.reduced(j)), 0.0
+        tau, s = _tangle(singles[j]), 0.0
         for k in range(state.num_qubits):
             if k < j:
                 s += concurrence(rhos[(k, j)][_EXCHANGE]) ** 2

@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qhog
 from qhog.bloch import QubitState
 from qhog.cli import main, parse_ket, parse_state
-from qhog.collision import excitation_forward_run, run_pure
+from qhog.collision import CollisionState, excitation_forward_run, run_pure
 from qhog.homogenizer import SwapAngle, budget_from_delta, run_trajectory
 from qhog.verify import CONCURRENCE_FLOOR
 
@@ -156,21 +157,36 @@ def test_simulate_mixed_system(capsys):
     assert_usage_error(capsys, "simulate", "--eta", "0.3", "--n", "2", "--system", "0,0,0")
 
 
-@pytest.mark.parametrize("chunk", [None, 3])
-def test_simulate_json_amplitudes_match_json_dumps(capsys, tmp_path, monkeypatch, chunk):
+# a sparse 4-qubit state cut into chunks of 4: a zero run ends on the first
+# chunk edge, the second chunk is all zeros, the third starts a zero run that a
+# -0.0 breaks and ends in a denormal, and the last holds a -0.0 before a zero run
+_SPARSE = np.array([0.6, 0, 0, 0, 0, 0, 0, 0, 0, complex(0.0, -0.0), 0, 5e-324,
+                    0.8j, complex(-0.0, 0.0), 0, 0])
+
+
+@pytest.mark.parametrize("chunk,vector", [
+    pytest.param(None, None, id="None"),
+    pytest.param(3, None, id="3"),  # 16 amplitudes in six chunks
+    pytest.param(4, _SPARSE, id="sparse-chunks"),
+    pytest.param(None, _SPARSE, id="sparse"),
+])
+def test_simulate_json_amplitudes_match_json_dumps(capsys, tmp_path, monkeypatch, chunk, vector):
     # small amplitudes print in exponent form and some components are exactly -0.0
     argv = ["simulate", "--eta", "0.005", "--n", "3", "--system=-0.5,0,0",
             "--reservoir", "zero", "--order", "2,3,1", "--format", "json"]
     if chunk is not None:
-        monkeypatch.setattr("qhog.cli._DUMP_CHUNK", chunk)  # 16 amplitudes in six chunks
+        monkeypatch.setattr("qhog.cli._DUMP_CHUNK", chunk)
     state = run_pure(parse_ket("-0.5,0,0"), parse_ket("zero"), 3, SwapAngle(0.005), [2, 3, 1])
+    if vector is not None:
+        state = CollisionState(vector, state.angle, state.log)
+        monkeypatch.setattr("qhog.cli.run_pure", lambda *args: state)
     payload = {"system_bloch": list(QubitState.from_density(state.reduced(0)).w),
                "num_qubits": 4, "eta": 0.005, "log": [2, 3, 1],
                "amplitudes": [[z.real, z.imag] for z in state.vector]}
     parts = [x for z in state.vector.tolist() for x in (z.real, z.imag)]
     assert any(x == 0 and math.copysign(1.0, x) < 0 for x in parts)
     want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert "-0.0," in want and "e-05" in want
+    assert "-0.0," in want and ("e-05" in want if vector is None else "5e-324" in want)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == want
     path = tmp_path / "amps.json"
@@ -670,8 +686,19 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
          "error: --order '1,5': reservoir index 5 out of range 1..3\n"),
         *((("safe", "--delta", "0.1", "--sample", sample),
            f"error: --sample must be at least 1, got {sample}\n") for sample in ("0", "-5")),
+        # 13! and 12 12! orders, above 12!; rejected before any leaf is computed
+        *((("safe", "--eta", "0.3", "--n", n, "--mode", mode),
+           f"error: --n {n}: the exhaustive {mode} sweep takes more than 12! = 479001600 "
+           "orders; draw some of them with --sample\n")
+          for n, mode in (("13", "correct"), ("12", "incorrect"))),
+        (("homogenize", "--eta", "0.3", "--n", "2000000"),
+         "error: --n must be at most 1048576, got 2000000\n"),
     ]:
         assert run_cli(capsys, *argv) == (2, "", want)
+    # a sampled sweep has no such bound
+    code, out, _ = run_cli(capsys, "safe", "--eta", "0.3", "--n", "30", "--sample", "10",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["total_trials"] == 10
     monkeypatch.setenv("QHOG_MAX_QUBITS", "abc")
     code, out, err = run_cli(capsys, "simulate", "--eta", "0.3", "--n", "3")
     assert (code, out) == (2, "")
@@ -730,6 +757,31 @@ def _run_python(code: str, **env_vars) -> str:
 
 def test_importing_qhog_leaves_numpy_unloaded():
     assert _run_python("import sys, qhog; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_importing_cli_leaves_concurrent_futures_unloaded():
+    # entangle imports its thread pool when it runs: the module loads logging,
+    # which would grow every other command's process
+    code = "import sys, qhog.cli; print('concurrent.futures' in sys.modules)"
+    assert _run_python(code) == "False\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_entangle_on_one_cpu_prints_the_same_bytes():
+    # the pair reductions run on one thread per usable CPU; restricted to one
+    # CPU, the command must print the bytes of an unrestricted run
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv, digests = _PINNED[-1]
+    assert argv[0] == "entangle" and "plus" in argv
+    cpu = min(os.sched_getaffinity(0))
+    runs = [subprocess.run([sys.executable, "-m", "qhog", *argv], capture_output=True, env=env,
+                           timeout=120, preexec_fn=restrict)
+            for restrict in (lambda: os.sched_setaffinity(0, {cpu}), None)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+        assert _sha256(proc.stdout.decode()) == digests[""]
+        assert _sha256(proc.stderr.decode()) == digests["stderr"]
 
 
 @pytest.mark.parametrize("caller,want", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qhog.cli import _csv
-from qhog.collision import init_pure
+from qhog.collision import init_pure, reduced_from_vector, run_pure
 from qhog.entanglement import (
     ckw_sum,
     closed_form_concurrences,
@@ -294,3 +294,37 @@ def test_pair_path_reduces_each_pair_once(monkeypatch):
     pairs = [q for q in calls if len(q) == 2]
     assert sorted(pairs) == [(j, k) for j in range(6) for k in range(j + 1, 6)]
     assert sorted(q for q in calls if len(q) == 1) == [(j,) for j in range(6)]
+
+
+def _bits(values) -> np.ndarray:
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("system,reservoir,order,dense", [
+    (KET1, KET0, None, False),
+    (KET1, KET0, [5, 2, 7, 1, 6, 3, 4], False),
+    (np.array([0.6, 0.8j]), np.array([1, 1]) / math.sqrt(2), [3, 1, 2, 7, 4, 6, 5], True),
+], ids=["canonical", "scrambled", "dense"])
+def test_tables_match_a_serial_loop_to_the_bit(system, reservoir, order, dense):
+    # the reductions run on a thread pool; every value must keep the bits of
+    # reducing and measuring one state at a time
+    state = run_pure(system, reservoir, 7, SwapAngle(0.4), order)
+    vec, n = state.vector, state.num_qubits
+    assert (np.count_nonzero(vec) == vec.size) == dense
+    c = {(j, k): concurrence(reduced_from_vector(vec, n, [j, k]))
+         for j in range(n) for k in range(j + 1, n)}
+    taus, sums = [], []
+    for j in range(n):
+        r = reduced_from_vector(vec, n, [j])
+        taus.append(min(1.0, max(0.0, 4.0 * (r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]).real)))
+        s = 0.0
+        for k in range(n):
+            if k != j:
+                s += concurrence(reduced_from_vector(vec, n, [j, k])) ** 2
+        sums.append(s)
+    pairs, tangles = entanglement_tables(state, system, reservoir)
+    assert [(r["j"], r["k"]) for r in pairs] == list(c)
+    assert np.array_equal(_bits([r["C"] for r in pairs]), _bits(list(c.values())))
+    assert np.array_equal(_bits([r["tau"] for r in tangles]), _bits(taus))
+    assert np.array_equal(_bits([r["S"] for r in tangles]), _bits(sums))
+    assert max(c.values()) > 0.05
