@@ -309,18 +309,15 @@ def cmd_entangle(args) -> int:
     return 0
 
 
-# the most orders an exhaustive sweep may take: 12!, about a minute of leaves
-_MAX_ORDERS = math.factorial(12)
+# the largest --n of an exhaustive sweep: its N! (correct) or N N! (incorrect)
+# orders stay within 12! = 479,001,600, about a minute of leaves
+_MAX_EXHAUSTIVE_N = {"correct": 12, "incorrect": 11}
 
 
 def cmd_safe(args) -> int:
-    # N! orders for the correct sweep, N N! for the incorrect one; both grow
-    # with N, so N = 13 bounds the factorial without changing the verdict
-    n = min(args.n, 13)
-    orders = math.factorial(n) * (1 if args.mode == "correct" else n)
-    if args.sample is None and orders > _MAX_ORDERS:
+    if args.sample is None and args.n > _MAX_EXHAUSTIVE_N[args.mode]:
         raise ValueError(f"--n {args.n}: the exhaustive {args.mode} sweep takes more than "
-                         f"12! = {_MAX_ORDERS} orders; draw some of them with --sample")
+                         f"12! = {math.factorial(12)} orders; draw some of them with --sample")
     angle, _ = _resolve_angle(args)
     if args.seed is not None and args.sample is None:
         raise ValueError("--seed needs --sample: the full sweep draws nothing")

@@ -705,6 +705,20 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
     assert err == "error: QHOG_MAX_QUBITS must be an integer, got 'abc'\n"
 
 
+def test_exhaustive_sweep_bound_admits_its_largest_n(monkeypatch):
+    # 12! and 11 11! orders are within the bound: the sweep starts (and is stopped here)
+    class Started(Exception):
+        pass
+
+    def start(n, angle, **kwargs):
+        raise Started(n)
+
+    for mode, n in (("correct", 12), ("incorrect", 11)):
+        monkeypatch.setattr(f"qhog.cli.sweep_{mode}", start)
+        with pytest.raises(Started):
+            main(["safe", "--eta", "0.3", "--n", str(n), "--mode", mode])
+
+
 @pytest.mark.parametrize("buffering", [{}, {"PYTHONUNBUFFERED": "1"}],
                          ids=["buffered", "unbuffered"])
 def test_closed_stdout_ends_in_one_error_line(buffering):

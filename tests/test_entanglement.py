@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -305,9 +307,11 @@ def _bits(values) -> np.ndarray:
     (KET1, KET0, [5, 2, 7, 1, 6, 3, 4], False),
     (np.array([0.6, 0.8j]), np.array([1, 1]) / math.sqrt(2), [3, 1, 2, 7, 4, 6, 5], True),
 ], ids=["canonical", "scrambled", "dense"])
-def test_tables_match_a_serial_loop_to_the_bit(system, reservoir, order, dense):
+def test_tables_match_a_serial_loop_to_the_bit(monkeypatch, system, reservoir, order, dense):
     # the reductions run on a thread pool; every value must keep the bits of
-    # reducing and measuring one state at a time
+    # reducing and measuring one state at a time, also with more threads than
+    # cores switching as often as the interpreter allows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     state = run_pure(system, reservoir, 7, SwapAngle(0.4), order)
     vec, n = state.vector, state.num_qubits
     assert (np.count_nonzero(vec) == vec.size) == dense
@@ -322,7 +326,12 @@ def test_tables_match_a_serial_loop_to_the_bit(system, reservoir, order, dense):
             if k != j:
                 s += concurrence(reduced_from_vector(vec, n, [j, k])) ** 2
         sums.append(s)
-    pairs, tangles = entanglement_tables(state, system, reservoir)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pairs, tangles = entanglement_tables(state, system, reservoir)
+    finally:
+        sys.setswitchinterval(interval)
     assert [(r["j"], r["k"]) for r in pairs] == list(c)
     assert np.array_equal(_bits([r["C"] for r in pairs]), _bits(list(c.values())))
     assert np.array_equal(_bits([r["tau"] for r in tangles]), _bits(taus))
