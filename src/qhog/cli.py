@@ -63,8 +63,8 @@ def parse_ket(text: str) -> np.ndarray:
     return ket_from_bloch(parse_state(text).w)
 
 
-def _state(parse, args, flag: str):
-    """``parse`` of the text of ``--system`` or ``--reservoir``, naming the flag on error."""
+def _parsed(parse, args, flag: str):
+    """``parse`` of the value of ``--flag``, naming the flag on error."""
     try:
         return parse(getattr(args, flag))
     except ValueError as exc:
@@ -87,8 +87,8 @@ def _seed(seed: int) -> int:
 
 def _resolve_angle(args) -> tuple[SwapAngle, HomogenizationBudget | None]:
     if args.eta is not None:
-        return SwapAngle(args.eta), None
-    budget = budget_from_delta(args.delta)
+        return _parsed(SwapAngle, args, "eta"), None
+    budget = _parsed(budget_from_delta, args, "delta")
     return SwapAngle(budget.eta_max), budget
 
 
@@ -204,10 +204,13 @@ def cmd_homogenize(args) -> int:
         raise ValueError("--n is required when the angle is given via --eta")
     if args.n is not None and args.n > MAX_STEPS:
         raise ValueError(f"--n must be at most {MAX_STEPS}, got {args.n}")
+    if args.n is None and budget.n_delta > MAX_STEPS:
+        raise ValueError(f"--delta {args.delta!r}: its budget takes {budget.n_delta} steps, "
+                         f"more than the 2^20 = {MAX_STEPS} a trajectory may take")
     n = budget.n_delta if args.n is None else args.n
     delta = None if budget is None else budget.delta
-    rho0 = _state(parse_state, args, "system")
-    xi = _state(parse_state, args, "reservoir")
+    rho0 = _parsed(parse_state, args, "system")
+    xi = _parsed(parse_state, args, "reservoir")
     traj = run_trajectory(rho0, xi, angle, n)
     _write(args.out, _trajectory_csv(traj) if args.format == "csv" else _trajectory_json(traj))
     final_d = float(traj.d_system[-1])
@@ -230,7 +233,7 @@ def cmd_homogenize(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    budget = budget_from_delta(args.delta)
+    budget = _parsed(budget_from_delta, args, "delta")
     report = {
         "delta": budget.delta,
         "sin_eta_max": math.sin(budget.eta_max),
@@ -259,10 +262,10 @@ def _parse_order(args):
 def cmd_simulate(args) -> int:
     angle, _ = _resolve_angle(args)
     order = _parse_order(args)
-    reservoir = _state(parse_ket, args, "reservoir")
-    system_state = _state(parse_state, args, "system")
+    reservoir = _parsed(parse_ket, args, "reservoir")
+    system_state = _parsed(parse_state, args, "system")
     if system_state.is_pure():
-        state = run_pure(_state(parse_ket, args, "system"), reservoir, args.n, angle, order)
+        state = run_pure(_parsed(parse_ket, args, "system"), reservoir, args.n, angle, order)
         rho = state.reduced(0)
     elif args.format == "csv":
         raise ValueError("CSV amplitude dumps need a pure system state")
@@ -292,8 +295,8 @@ def cmd_entangle(args) -> int:
     angle, _ = _resolve_angle(args)
     if args.format == "csv" and args.out is None:
         raise ValueError("entangle with --format csv needs --out (two files are written)")
-    system = _state(parse_ket, args, "system")
-    reservoir = _state(parse_ket, args, "reservoir")
+    system = _parsed(parse_ket, args, "system")
+    reservoir = _parsed(parse_ket, args, "reservoir")
     state = run_pure(system, reservoir, args.n, angle, _parse_order(args))
     pairs, tangles = entanglement_tables(state, system, reservoir)
     if args.format == "csv":

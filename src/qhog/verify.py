@@ -6,6 +6,13 @@ string.  The CLI ``verify`` command runs them all and exits nonzero on
 any failure; the pytest suite runs the same functions one by one.
 Checks draw their randomness from a seeded generator, so runs are
 reproducible.
+
+The stepwise suites check the code the CLI runs: their states come from
+``collision.run_pure`` after each prefix of a collision order, their tables
+from ``entanglement.pair_states``, ``concurrence_table`` and
+``entanglement_tables``, and their iterates from ``homogenizer.run_trajectory``.
+``collision.grown_product`` ties ``run_pure`` to the reference engine,
+``CollisionState.run``.
 """
 
 from __future__ import annotations
@@ -70,6 +77,18 @@ def _random_ket(rng, dim: int = 2) -> np.ndarray:
 
 def _random_angle(rng) -> hmg.SwapAngle:
     return hmg.SwapAngle(rng.uniform(0.0, math.pi / 2))
+
+
+def _prefix_runs(system, reservoir, n: int, angle, order=None) -> list:
+    """``run_pure`` after each prefix of ``order`` (default 1..n), the empty prefix first."""
+    order = range(1, n + 1) if order is None else order
+    return [col.run_pure(system, reservoir, n, angle, order[:i]) for i in range(len(order) + 1)]
+
+
+def _pair_tables(n: int, angle) -> list[dict]:
+    """The concurrence table of the |1>/|0> run after each of its collisions 0..n."""
+    runs = _prefix_runs(KET_ONE, KET_ZERO, n, angle)
+    return [ent.concurrence_table(ent.pair_states(state)) for state in runs]
 
 
 def _step_by_conjugation(rho: QubitState, xi: QubitState, angle) -> np.ndarray:
@@ -222,12 +241,10 @@ def check_homogenizer_closed_form(rng, quick) -> str:
     for _ in range(5 if quick else 20):
         rho0, xi = random_state(rng), random_state(rng)
         angle = _random_angle(rng)
-        state = rho0
-        for n in range(201):
-            if n in (0, 1, 2, 3, 5, 10, 25, 50, 100, 137, 200):
-                closed = hmg.closed_form_system(rho0, xi, angle, n)
-                worst = max(worst, float(np.max(np.abs(closed.w - state.w))))
-            state = hmg.step_system(state, xi, angle)
+        system = hmg.run_trajectory(rho0, xi, angle, 200).system
+        for n in (0, 1, 2, 3, 5, 10, 25, 50, 100, 137, 200):
+            closed = hmg.closed_form_system(rho0, xi, angle, n)
+            worst = max(worst, float(np.max(np.abs(closed.w - system[n]))))
     _require(worst <= 1e-10, f"closed form deviates from iteration by {worst:.3e}")
     return f"max deviation {worst:.2e}"
 
@@ -300,12 +317,9 @@ def check_homogenizer_budget_soundness(rng, quick) -> str:
 def check_collision_norm_conservation(rng, quick) -> str:
     worst = 0.0
     for _ in range(5 if quick else 15):
-        n = 6
-        state = col.init_pure(_random_ket(rng), _random_ket(rng), n, _random_angle(rng))
-        for k in rng.permutation(n) + 1:
-            state = state.collide(int(k))
-            norm2 = float(np.sum(np.abs(state.vector) ** 2))
-            worst = max(worst, abs(norm2 - 1.0))
+        kets = _random_ket(rng), _random_ket(rng)
+        for state in _prefix_runs(*kets, 6, _random_angle(rng), rng.permutation(6) + 1)[1:]:
+            worst = max(worst, abs(float(np.sum(np.abs(state.vector) ** 2)) - 1.0))
     _require(worst <= 1e-12, f"norm drifted by {worst:.3e}")
     return f"max norm drift {worst:.2e}"
 
@@ -318,9 +332,7 @@ def check_collision_marginal_consistency(rng, quick) -> str:
         angle = _random_angle(rng)
         rho0 = QubitState(bloch_from_ket(sys_ket))
         xi = QubitState(bloch_from_ket(res_ket))
-        state = col.init_pure(sys_ket, res_ket, n, angle)
-        for step in range(1, n + 1):
-            state = state.collide(step)
+        for step, state in enumerate(_prefix_runs(sys_ket, res_ket, n, angle)[1:], 1):
             got = QubitState.from_density(state.reduced(0))
             want = hmg.closed_form_system(rho0, xi, angle, step)
             worst = max(worst, float(np.max(np.abs(got.w - want.w))))
@@ -338,11 +350,9 @@ def check_collision_sector(rng, quick) -> str:
     """
     n = 8 if quick else 12
     angle = _random_angle(rng)
-    state = col.init_pure(KET_ONE, KET_ZERO, n, angle)
     one_hot = [1 << (n - j) for j in range(n + 1)]
     worst_amp = worst_z = 0.0
-    for step in range(1, n + 1):
-        state = state.collide(step)
+    for step, state in enumerate(_prefix_runs(KET_ONE, KET_ZERO, n, angle)[1:], 1):
         rest = state.vector.copy()
         rest[one_hot] = 0.0
         _require(not rest.any(), f"weight outside the sector after collision {step}")
@@ -411,10 +421,8 @@ def check_collision_uncollided_product(rng, quick) -> str:
     n = 6
     angle = _random_angle(rng)
     state = col.init_pure(_random_ket(rng), _random_ket(rng), n, angle).run([1, 2])
-    worst = 0.0
-    for j in range(3, n + 1):
-        for k in range(j + 1, n + 1):
-            worst = max(worst, ent.concurrence(state.reduced([j, k])))
+    table = ent.concurrence_table(ent.pair_states(state))
+    worst = max(c for (j, k), c in table.items() if j >= 3)
     _require(worst <= 1e-10, f"uncollided qubits entangled: concurrence {worst:.3e}")
     return f"max uncollided concurrence {worst:.2e}"
 
@@ -439,16 +447,10 @@ def check_collision_grown_product(rng, quick) -> str:
 
 
 def check_entanglement_ckw_saturation(rng, quick) -> str:
-    n = 6 if quick else 10
-    angle = hmg.SwapAngle.from_sin_squared(0.1)
-    state = col.init_pure(KET_ONE, KET_ZERO, n, angle)
-    worst = 0.0
-    for step in range(n + 1):
-        if step:
-            state = state.collide(step)
-        for j in range(n + 1):
-            gap = abs(ent.ckw_sum(state, j) - ent.tangle_one_vs_rest(state, j))
-            worst = max(worst, gap)
+    runs = _prefix_runs(KET_ONE, KET_ZERO, 6 if quick else 10, hmg.SwapAngle.from_sin_squared(0.1))
+    # the tangle rows {j, tau, S} of each run
+    worst = max(abs(row["S"] - row["tau"]) for state in runs
+                for row in ent.entanglement_tables(state, KET_ONE, KET_ZERO)[1])
     _require(worst <= 1e-8, f"CKW bound not saturated, gap {worst:.3e}")
     return f"max |S_j - tau_j| = {worst:.2e}"
 
@@ -458,50 +460,28 @@ def check_entanglement_closed_form_match(rng, quick) -> str:
     worst = 0.0
     for s2 in ((0.1,) if quick else (0.05, 0.1, 0.5)):
         angle = hmg.SwapAngle.from_sin_squared(s2)
-        state = col.init_pure(KET_ONE, KET_ZERO, n, angle)
-        for step in range(n + 1):
-            if step:
-                state = state.collide(step)
-            for j in range(n + 1):
-                for k in range(j + 1, n + 1):
-                    got = ent.concurrence(state.reduced([j, k]))
-                    want = ent.closed_pair_concurrence(j, k, step, angle)
-                    worst = max(worst, abs(got - want))
+        for step, got in enumerate(_pair_tables(n, angle)):
+            want = ent.closed_form_concurrences(step, n, angle)
+            worst = max(worst, *(abs(c - want[pair]) for pair, c in got.items()))
     _require(worst <= 1e-8, f"closed-form concurrence deviates by {worst:.3e}")
     return f"max deviation {worst:.2e}"
 
 
 def check_entanglement_persistence(rng, quick) -> str:
-    n = 6
-    angle = hmg.SwapAngle.from_sin_squared(0.2)
-    state = col.init_pure(KET_ONE, KET_ZERO, n, angle)
-    first_seen: dict[tuple[int, int], float] = {}
-    worst = 0.0
-    for step in range(1, n + 1):
-        state = state.collide(step)
-        for j in range(1, n + 1):
-            for k in range(j + 1, step + 1):
-                c = ent.concurrence(state.reduced([j, k]))
-                if (j, k) in first_seen:
-                    worst = max(worst, abs(c - first_seen[(j, k)]))
-                else:
-                    first_seen[(j, k)] = c
+    tables = _pair_tables(6, hmg.SwapAngle.from_sin_squared(0.2))
+    # each reservoir pair (j, k) after collision k and later, against its value at k
+    worst = max(abs(c - tables[k][(j, k)]) for step, table in enumerate(tables)
+                for (j, k), c in table.items() if j and k <= step)
     _require(worst <= 1e-9, f"reservoir pair concurrence drifted by {worst:.3e}")
     return f"max drift {worst:.2e}"
 
 
 def check_entanglement_decay(rng, quick) -> str:
-    n = 6
-    angle = hmg.SwapAngle.from_sin_squared(0.2)
-    state = col.init_pure(KET_ONE, KET_ZERO, n, angle)
-    prev: dict[int, float] = {}
-    for step in range(1, n + 1):
-        state = state.collide(step)
-        for k in range(1, step + 1):
-            c = ent.concurrence(state.reduced([0, k]))
-            if k in prev:
-                _require(c < prev[k], f"C_0{k} did not decay: {prev[k]} -> {c}")
-            prev[k] = c
+    tables = _pair_tables(6, hmg.SwapAngle.from_sin_squared(0.2))
+    for step in range(2, len(tables)):
+        for k in range(1, step):
+            old, new = tables[step - 1][(0, k)], tables[step][(0, k)]
+            _require(new < old, f"C_0{k} did not decay: {old} -> {new}")
     return "system-reservoir concurrences strictly decay"
 
 

@@ -693,6 +693,21 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
           for n, mode in (("13", "correct"), ("12", "incorrect"))),
         (("homogenize", "--eta", "0.3", "--n", "2000000"),
          "error: --n must be at most 1048576, got 2000000\n"),
+        # a budget of 336,224,849 steps, above the 2^20 of a trajectory
+        (("homogenize", "--delta", "1e-7"),
+         "error: --delta 1e-07: its budget takes 336224849 steps, more than the 2^20 = 1048576 "
+         "a trajectory may take\n"),
+        # the angle flags, one row per subcommand that reads them
+        (("homogenize", "--eta", "nan", "--n", "3"),
+         "error: --eta nan: the swap angle must be finite, got nan\n"),
+        (("simulate", "--eta", "inf", "--n", "3"),
+         "error: --eta inf: the swap angle must be finite, got inf\n"),
+        (("entangle", "--delta", "2", "--n", "3", "--format", "json"),
+         "error: --delta 2.0: delta must lie in (0, 2), got 2.0\n"),
+        (("safe", "--delta", "3"), "error: --delta 3.0: delta must lie in (0, 2), got 3.0\n"),
+        (("bounds", "--delta", "nan"), "error: --delta nan: delta must lie in (0, 2), got nan\n"),
+        (("bounds", "--delta", "1e-300"),
+         "error: --delta 1e-300: delta 1e-300 is too small: 1 - delta/2 rounds to 1\n"),
     ]:
         assert run_cli(capsys, *argv) == (2, "", want)
     # a sampled sweep has no such bound

@@ -1,10 +1,12 @@
 """Every documented invariant, via the shared verify suites."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import qhog.entanglement
 import qhog.homogenizer
 from qhog import collision as col
 from qhog import safe, verify
@@ -132,6 +134,44 @@ def test_suites_catch_sign_mutation(monkeypatch):
     monkeypatch.setattr(qhog.homogenizer, "superoperator", flipped)
     result = verify.run_check("homogenizer.three_way_agreement", seed=0, quick=False)
     assert not result.ok
+
+
+def test_suites_catch_swapped_pair_states(monkeypatch):
+    """The stepwise entanglement suites read the tables of entanglement._reduced_states."""
+    real = qhog.entanglement._reduced_states
+
+    def swapped(state, keeps):
+        out = real(state, keeps)
+        out[0], out[1] = out[1], out[0]
+        return out
+
+    monkeypatch.setattr(qhog.entanglement, "_reduced_states", swapped)
+    for name in ("entanglement.closed_form_match", "entanglement.ckw_saturation"):
+        assert not verify.run_check(name, seed=0, quick=False).ok, name
+
+
+def test_suites_catch_a_late_trajectory(monkeypatch):
+    """homogenizer.closed_form reads the system states that run_trajectory records."""
+    real = qhog.homogenizer.run_trajectory
+
+    def late(rho0, xi, angle, n_steps):
+        traj = real(rho0, xi, angle, n_steps)
+        return dataclasses.replace(traj, system=np.concatenate([traj.system[:1], traj.system[:-1]]))
+
+    monkeypatch.setattr(qhog.homogenizer, "run_trajectory", late)
+    assert not verify.run_check("homogenizer.closed_form", seed=0, quick=False).ok
+
+
+def test_suites_catch_a_dropped_collision(monkeypatch):
+    """collision.marginal_consistency reads the states that run_pure grows."""
+    real = col.run_pure
+
+    def short(system, reservoir, n, angle, order=None):
+        order = list(range(1, n + 1)) if order is None else list(order)
+        return real(system, reservoir, n, angle, order[:-1])
+
+    monkeypatch.setattr(col, "run_pure", short)
+    assert not verify.run_check("collision.marginal_consistency", seed=0, quick=False).ok
 
 
 def test_checks_are_deterministic():
