@@ -509,6 +509,12 @@ _PINNED = [
       "--format", "json"],
      {"": "9aef1ccdc5c909d65168bb64b979d78b5d6d7403c1f1a0cca263456242c03cc1",
       "stderr": "eefe400bf5519923eca1a40c4fbf47a83f805ff764f9afab5e4eb3dca21d44ce"}),
+    # captured while each component of a mixed system still held the whole
+    # 22-qubit state: the benchmark's seed-0 evolution
+    (["simulate", "--delta", "0.2", "--n", "21", "--system", "0.2,0,0.1", "--order",
+      "21,7,20,8,16,2,6,4,5,1,13,19,14,12,17,18,15,10,11,9,3", "--format", "json"],
+     {"": "81fc781eb008316cd4baeb58fa220d89c406bbf1d03679a17fae0af54e28b084",
+      "stderr": "85f8ebedf6972973415c099a5d3756aeb1c2fc80162068f33635140f79a62a41"}),
 ]
 
 
