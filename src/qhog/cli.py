@@ -259,19 +259,28 @@ def _parse_order(args):
         raise ValueError(f"--order {args.order!r}: {exc}") from None
 
 
+def _sized(args, run, *inputs):
+    """``run(*inputs)``, naming ``--n`` when its global state cannot be allocated."""
+    try:
+        return run(*inputs)
+    except MemoryError as exc:
+        raise ValueError(f"--n {args.n}: {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     angle, _ = _resolve_angle(args)
     order = _parse_order(args)
     reservoir = _parsed(parse_ket, args, "reservoir")
     system_state = _parsed(parse_state, args, "system")
     if system_state.is_pure():
-        state = run_pure(_parsed(parse_ket, args, "system"), reservoir, args.n, angle, order)
+        system = _parsed(parse_ket, args, "system")
+        state = _sized(args, run_pure, system, reservoir, args.n, angle, order)
         rho = state.reduced(0)
     elif args.format == "csv":
         raise ValueError("CSV amplitude dumps need a pure system state")
     else:
         state = None
-        rho = run_mixed_system(system_state, reservoir, args.n, angle, [0], order)
+        rho = _sized(args, run_mixed_system, system_state, reservoir, args.n, angle, [0], order)
     system_bloch = list(QubitState.from_density(rho).w)
     payload = {"system_bloch": system_bloch, "num_qubits": args.n + 1, "eta": angle.eta,
                "log": order or list(range(1, args.n + 1))}
@@ -297,7 +306,7 @@ def cmd_entangle(args) -> int:
         raise ValueError("entangle with --format csv needs --out (two files are written)")
     system = _parsed(parse_ket, args, "system")
     reservoir = _parsed(parse_ket, args, "reservoir")
-    state = run_pure(system, reservoir, args.n, angle, _parse_order(args))
+    state = _sized(args, run_pure, system, reservoir, args.n, angle, _parse_order(args))
     pairs, tangles = entanglement_tables(state, system, reservoir)
     if args.format == "csv":
         _write(args.out + "_pairs.csv", _csv(pairs))

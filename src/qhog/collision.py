@@ -132,11 +132,17 @@ def reduced_from_vector(vec: np.ndarray, num_qubits: int, keep) -> np.ndarray:
         raise ValueError(f"need one or two distinct qubits in 0..{num_qubits - 1}, got {keep}")
     quarters = _quarters(vec, num_qubits, keep)
     d = 2 ** len(keep)
-    rows = np.empty((d, 2, min(_BLOCK, vec.size // d)))
+    parts = (quarters[(slice(None),) * len(keep) + idx]
+             for idx in _blocks(quarters.shape[-3:], _BLOCK))
+    return _reduce_parts(parts, d, min(_BLOCK, vec.size // d))
+
+
+def _reduce_parts(parts, d: int, size: int) -> np.ndarray:
+    """The d x d matrix M M^dagger summed over ``parts``, each d rows of ``size`` amplitudes."""
+    rows = np.empty((d, 2, size))
     x, y, xy = rows[:, 0], rows[:, 1], rows.reshape(d, -1)
     re, yx = np.zeros((d, d)), np.zeros((d, d))
-    for idx in _blocks(quarters.shape[-3:], _BLOCK):
-        part = quarters[(slice(None),) * len(keep) + idx]
+    for part in parts:
         np.copyto(x.reshape(part.shape), part.real)
         np.copyto(y.reshape(part.shape), part.imag)
         re += np.einsum("ik,jk->ij", xy, xy)
@@ -229,14 +235,8 @@ def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray) -> 
     return pos
 
 
-def run_pure(system, reservoir, n: int, angle: SwapAngle, order=None) -> CollisionState:
-    """(system ket) x (reservoir ket)^n collided with reservoir qubits in ``order`` (default 1..n).
-
-    Every input is checked before the 2**(n+1)-amplitude buffer is
-    allocated.  The state then grows in that buffer: qubits the order never
-    touches are inserted first, and each other reservoir qubit just before
-    its collision, which then acts on the live prefix only.
-    """
+def _checked_run(system, reservoir, n: int, order):
+    """The checked kets and order of a run of ``n`` reservoir qubits within the qubit cap."""
     system = _checked_ket("system", system)
     reservoir = _checked_ket("reservoir", reservoir)
     if n < 1:
@@ -244,8 +244,17 @@ def run_pure(system, reservoir, n: int, angle: SwapAngle, order=None) -> Collisi
     cap = max_qubits()
     if n + 1 > cap:
         raise ValueError(f"{n + 1} qubits exceeds the configured cap of {cap}")
-    order = _checked_order(order, n)
-    buf = np.empty(2 ** (n + 1), dtype=complex)
+    return system, reservoir, _checked_order(order, n)
+
+
+def _grow(buf, system, reservoir, n: int, angle: SwapAngle, order, steps: int) -> None:
+    """Grow in ``buf`` the state after the first ``steps`` collisions of ``order``.
+
+    Qubits the order never touches are inserted first, then the system, and
+    each reservoir qubit of the first ``steps`` just before its collision,
+    which then acts on the live prefix only.  The later qubits of ``order``
+    are left out, so ``buf`` needs 2**(n + 1 - len(order) + steps) amplitudes.
+    """
     buf[0] = 1.0
     live = []
     # the reservoir factors multiply together before the system ket does, as in
@@ -254,15 +263,76 @@ def run_pure(system, reservoir, n: int, angle: SwapAngle, order=None) -> Collisi
     for k in sorted(set(range(1, n + 1)).difference(order)):
         _insert_qubit(buf, live, k, reservoir)
     _insert_qubit(buf, live, 0, system)
-    for k in order:
+    for k in order[:steps]:
         pos = _insert_qubit(buf, live, k, reservoir)
         apply_two_qubit(buf[: 2 ** len(live)], len(live), angle, 0, pos)
+
+
+def run_pure(system, reservoir, n: int, angle: SwapAngle, order=None) -> CollisionState:
+    """(system ket) x (reservoir ket)^n collided with reservoir qubits in ``order`` (default 1..n).
+
+    Every input is checked before the 2**(n+1)-amplitude buffer is
+    allocated.  The state then grows in that buffer (see ``_grow``).
+    """
+    system, reservoir, order = _checked_run(system, reservoir, n, order)
+    buf = np.empty(2 ** (n + 1), dtype=complex)
+    _grow(buf, system, reservoir, n, angle, order, len(order))
     return CollisionState(buf, angle, order)
 
 
 def init_pure(system, reservoir, n: int, angle: SwapAngle) -> CollisionState:
     """Product state (system ket) x (reservoir ket)^n with an empty log."""
     return run_pure(system, reservoir, n, angle, order=[])
+
+
+def _last_collision_blocks(prefix, n: int, k: int, ket, angle: SwapAngle):
+    """The parts ``reduced_from_vector`` reads for qubit 0 of the state after the last collision.
+
+    ``prefix`` holds the state of every qubit but ``k``, the last one
+    collided, seen as (s, rows, low): s is the system bit, rows are qubits
+    1..k-1 and low qubits k+1..n.  Each part of the final state, laid out
+    (s, rows, b, low) with b the bit of ``k``, is built in one small buffer
+    and collided at once.  numpy's complex multiply takes an FMA loop or not
+    by strides and aliasing, so the insertion goes through the strided
+    ``out=`` views of ``_insert_qubit`` and multiplies row 0's |0> half in
+    place, as its halving loop does: the parts keep run_pure's bits.
+    When the bit of ``k`` lies above a part, the part's buffer holds both
+    values of b and yields one of them.
+    """
+    rows, low = 1 << (k - 1), 1 << (n - k)
+    size = min(_BLOCK, 1 << n)
+    src = prefix.reshape(2, rows, low)
+    step, width = max(1, size // (2 * low)), min(low, size)
+    sub = np.empty((2, step, 2, width), dtype=complex)
+    halves = (slice(None),) if 2 * low <= size else (slice(0, 1), slice(1, 2))
+    for r in range(0, rows, step):
+        for half in halves:
+            for c in range(0, low, width):
+                for s in (0, 1):
+                    part = src[s, r : r + step, c : c + width]
+                    np.multiply(part, ket[1], out=sub[s, :, 1])
+                    if s == r == 0:
+                        sub[0, 0, 0] = part[0]
+                        np.multiply(sub[0, :1, 0], ket[0], out=sub[0, :1, 0])
+                        np.multiply(part[1:], ket[0], out=sub[0, 1:, 0])
+                    else:
+                        np.multiply(part, ket[0], out=sub[s, :, 0])
+                # b is qubit 1 + log2(step) of the part
+                apply_two_qubit(sub.reshape(-1), num_qubits_of(sub.size), angle, 0,
+                                step.bit_length())
+                yield sub[:, :, half]
+
+
+def _system_after_run(buf, system, reservoir, n: int, angle: SwapAngle, order) -> np.ndarray:
+    """``run_pure(system, reservoir, n, angle, order).reduced(0)``, bit for bit, from 2**n amplitudes.
+
+    The inputs must be checked and ``order`` non-empty.  ``buf`` (2**n
+    amplitudes) takes every qubit but the last one collided; the last
+    collision is applied part by part as the reduction reads the parts.
+    """
+    _grow(buf, system, reservoir, n, angle, order, len(order) - 1)
+    parts = _last_collision_blocks(buf, n, order[-1], reservoir, angle)
+    return _reduce_parts(parts, 2, min(_BLOCK, 1 << n))
 
 
 def run_mixed_system(
@@ -274,16 +344,26 @@ def run_mixed_system(
     reduced matrix of the true evolution is the same convex combination
     of the pure-component results.  Each eigenvector of the system state
     runs alone, and its vector is dropped once reduced.  The reservoir must
-    be pure.
+    be pure.  For the system qubit alone, which is what the homogenizer
+    delivers, no component holds its final state: every qubit but the last
+    one collided grows in one buffer of 2**n amplitudes that both components
+    share, half the 2**(n+1) of the final state, and the last collision is
+    applied block by block as the reduction reads the blocks.
     """
     vals, vecs = hermitian_eig(rho0.density())
+    _, reservoir, checked = _checked_run(vecs[:, 0], reservoir, n, order)
+    system_only = list(np.atleast_1d(qubits)) == [0] and checked
+    buf = np.empty(2**n, dtype=complex) if system_only else None
     out = None
     for i in range(2):
         weight = float(vals[i])
         if weight < 1e-14:
             continue
-        term = weight * run_pure(vecs[:, i], reservoir, n, angle, order).reduced(qubits)
-        out = term if out is None else out + term
+        if buf is None:
+            rho = run_pure(vecs[:, i], reservoir, n, angle, order).reduced(qubits)
+        else:
+            rho = _system_after_run(buf, vecs[:, i], reservoir, n, angle, checked)
+        out = weight * rho if out is None else out + weight * rho
     return out
 
 
