@@ -12,7 +12,11 @@ state is (system + collided qubits) x xi^(uncollided).  ``run_pure``
 therefore grows the state in one buffer of 2**(N+1) amplitudes: it
 inserts each reservoir qubit just before that qubit's collision and
 collides on the live prefix only.  A full run costs about two passes
-over the final vector instead of one per collision.
+over the final vector instead of one per collision.  For the system
+qubit of a mixed run, the only qubit a mixed ``qhog simulate`` reports,
+even the final vector is never stored: the state before the last
+collision takes 2**N amplitudes, and each block the reduction reads is
+built from it and collided on its own.
 
 For the |1> system / |0> reservoir initial condition the dynamics never
 leaves the one-excitation subspace, so the same evolution can be tracked
@@ -288,16 +292,14 @@ def init_pure(system, reservoir, n: int, angle: SwapAngle) -> CollisionState:
 def _last_collision_blocks(prefix, n: int, k: int, ket, angle: SwapAngle):
     """The parts ``reduced_from_vector`` reads for qubit 0 of the state after the last collision.
 
-    ``prefix`` holds the state of every qubit but ``k``, the last one
-    collided, seen as (s, rows, low): s is the system bit, rows are qubits
-    1..k-1 and low qubits k+1..n.  Each part of the final state, laid out
-    (s, rows, b, low) with b the bit of ``k``, is built in one small buffer
-    and collided at once.  numpy's complex multiply takes an FMA loop or not
-    by strides and aliasing, so the insertion goes through the strided
-    ``out=`` views of ``_insert_qubit`` and multiplies row 0's |0> half in
-    place, as its halving loop does: the parts keep run_pure's bits.
-    When the bit of ``k`` lies above a part, the part's buffer holds both
-    values of b and yields one of them.
+    ``prefix`` holds every qubit but ``k``, the last one collided, as
+    (s, rows, low): the system bit, qubits 1..k-1 and qubits k+1..n.  Each
+    part of the final state, laid out (s, rows, b, low) with b the bit of
+    ``k``, is built in one small buffer and collided at once; a part below
+    the bit of ``k`` is one b half of its buffer.  numpy's complex multiply
+    takes an FMA loop or not by strides and aliasing, so ``k`` is multiplied
+    in through ``_insert_qubit``'s strided views, row 0's |0> half in place
+    as there: every part keeps run_pure's bits.
     """
     rows, low = 1 << (k - 1), 1 << (n - k)
     size = min(_BLOCK, 1 << n)
@@ -309,14 +311,12 @@ def _last_collision_blocks(prefix, n: int, k: int, ket, angle: SwapAngle):
         for half in halves:
             for c in range(0, low, width):
                 for s in (0, 1):
-                    part = src[s, r : r + step, c : c + width]
-                    np.multiply(part, ket[1], out=sub[s, :, 1])
-                    if s == r == 0:
-                        sub[0, 0, 0] = part[0]
-                        np.multiply(sub[0, :1, 0], ket[0], out=sub[0, :1, 0])
-                        np.multiply(part[1:], ket[0], out=sub[0, 1:, 0])
-                    else:
-                        np.multiply(part, ket[0], out=sub[s, :, 0])
+                    for bit in (1, 0):
+                        np.multiply(src[s, r : r + step, c : c + width], ket[bit],
+                                    out=sub[s, :, bit])
+                if r == 0:
+                    sub[0, 0, 0] = src[0, 0, c : c + width]
+                    np.multiply(sub[0, :1, 0], ket[0], out=sub[0, :1, 0])
                 # b is qubit 1 + log2(step) of the part
                 apply_two_qubit(sub.reshape(-1), num_qubits_of(sub.size), angle, 0,
                                 step.bit_length())

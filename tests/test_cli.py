@@ -574,6 +574,35 @@ def test_outputs_pinned_on_other_cpu_kernels(tmp_path, coretype, no_avx512):
                 assert hashlib.sha256(data).hexdigest() == digest, (argv, suffix)
 
 
+# Starts each qhog child from a small process of its own and prints the
+# child's ru_maxrss (KiB): a child inherits the peak RSS of the process that
+# forks it, so children of the test process would all report at least its peak
+_PEAK_RSS_CHILDREN = """
+import os, subprocess, sys
+for argv in sys.argv[1:]:
+    proc = subprocess.Popen([sys.executable, "-m", "qhog", *argv.split()],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_mixed_system_run_holds_half_the_final_state():
+    # a full 21-qubit state takes 32 MiB; the state before the last
+    # collision, all a mixed run of the system qubit holds, takes 16
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = "simulate --delta 0.2 --n {} --system 0.2,0,0.1 --format json"
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILDREN, argv.format(20),
+                           argv.format(3)], capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (code20, kib20), (code3, kib3) = [map(int, line.split()) for line in proc.stdout.splitlines()]
+    assert code20 == code3 == 0
+    assert (kib20 - kib3) / 1024 < 24
+
+
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the kernel settings name x86-64 CPUs")
 def test_bloch_lengths_and_kets_do_not_depend_on_the_kernel():
@@ -720,6 +749,12 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "safe", "--eta", "0.3", "--n", "30", "--sample", "10",
                            "--format", "json")
     assert code == 0 and json.loads(out)["total_trials"] == 10
+    # 46 qubits ask for 1 PiB of amplitudes, refused at once without touching memory
+    monkeypatch.setenv("QHOG_MAX_QUBITS", "60")
+    for command in ("simulate", "entangle"):
+        code, out, err = run_cli(capsys, command, "--eta", "0.3", "--n", "45", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --n 45: Unable to allocate 1.00 PiB") and err.count("\n") == 1
     monkeypatch.setenv("QHOG_MAX_QUBITS", "abc")
     code, out, err = run_cli(capsys, "simulate", "--eta", "0.3", "--n", "3")
     assert (code, out) == (2, "")

@@ -12,6 +12,7 @@ from qhog.collision import (
     init_pure,
     max_qubits,
     reduced_from_vector,
+    _system_after_run,
     run_mixed_system,
     run_pure,
 )
@@ -370,6 +371,39 @@ def test_run_mixed_diagonal_matches_closed_form():
     got = QubitState.from_density(mixed)
     want = closed_form_system(rho0, QubitState([0, 0, 0.5]), ANGLE, 3)
     assert np.allclose(got.w, want.w, atol=1e-10)
+
+
+def _streamed_cases(rng):
+    """(n, order) cases ending on every last qubit for n <= 6, partial orders included."""
+    yield 1, [1]
+    for n in range(2, 7):
+        for last in range(1, n + 1):
+            rest = [int(k) for k in rng.permutation([k for k in range(1, n + 1) if k != last])]
+            yield n, rest + [last]
+            yield n, rest[: n // 2] + [last]  # leaves the other qubits untouched
+    # above one 2**14-amplitude block: the last qubit's bit above the blocks
+    # (top), inside them (bottom), and a partial order
+    for n in range(14, 18):
+        rest = [int(k) for k in rng.permutation(np.arange(2, n))]
+        yield n, [n] + rest + [1]
+        yield n, [1] + rest + [n]
+        yield n, rest[:4] + [1]
+
+
+def test_streamed_system_state_is_run_pure_bit_for_bit():
+    # the last collision is built block by block from 2**n amplitudes; numpy's
+    # complex multiply rounds by strides and aliasing, so a block built any other
+    # way than the materialized state would move the last bits with complex kets
+    rng = np.random.default_rng(20)
+    for i, (n, order) in enumerate(_streamed_cases(rng)):
+        system, reservoir = _generic_ket(2 * i), _generic_ket(2 * i + 1)
+        if i % 5 == 0:  # and the |1> system against the |0> reservoir
+            system, reservoir = KET1, KET0
+        angle = SwapAngle(float(rng.uniform(0.1, 1.4)))
+        want = run_pure(system, reservoir, n, angle, order).reduced(0)
+        buf = np.empty(2**n, dtype=complex)
+        got = _system_after_run(buf, system, reservoir, n, angle, order)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, order)
 
 
 def test_excitation_initial_and_collisions():
