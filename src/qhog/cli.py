@@ -259,10 +259,10 @@ def _parse_order(args):
         raise ValueError(f"--order {args.order!r}: {exc}") from None
 
 
-def _sized(args, run, *inputs):
-    """``run(*inputs)``, naming ``--n`` when its global state cannot be allocated."""
+def _sized(args, run, *inputs, **options):
+    """``run(*inputs, **options)``, naming ``--n`` when an array sized by it cannot be allocated."""
     try:
-        return run(*inputs)
+        return run(*inputs, **options)
     except MemoryError as exc:
         raise ValueError(f"--n {args.n}: {exc}") from None
 
@@ -335,7 +335,7 @@ def cmd_safe(args) -> int:
         raise ValueError("--seed needs --sample: the full sweep draws nothing")
     seed = 0 if args.seed is None else _seed(args.seed)
     sweep = sweep_correct if args.mode == "correct" else sweep_incorrect
-    hist = sweep(args.n, angle, sample=args.sample, seed=seed)
+    hist = _sized(args, sweep, args.n, angle, sample=args.sample, seed=seed)
     bins = list(zip(bin_centers(), hist.counts))
     report = {"N": args.n, "eta": angle.eta, "total_trials": hist.total_trials,
               "exact_reversals": hist.exact_reversals}

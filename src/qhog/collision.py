@@ -324,7 +324,7 @@ def _last_collision_blocks(prefix, n: int, k: int, ket, angle: SwapAngle):
 
 
 def _system_after_run(buf, system, reservoir, n: int, angle: SwapAngle, order) -> np.ndarray:
-    """``run_pure(system, reservoir, n, angle, order).reduced(0)``, bit for bit, from 2**n amplitudes.
+    """``run_pure(system, reservoir, n, angle, order).reduced(0)``, bit for bit, in 2**n amplitudes.
 
     The inputs must be checked and ``order`` non-empty.  ``buf`` (2**n
     amplitudes) takes every qubit but the last one collided; the last

@@ -749,12 +749,14 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "safe", "--eta", "0.3", "--n", "30", "--sample", "10",
                            "--format", "json")
     assert code == 0 and json.loads(out)["total_trials"] == 10
-    # 46 qubits ask for 1 PiB of amplitudes, refused at once without touching memory
+    # 46 qubits ask for 1 PiB of amplitudes and a sampled sweep of 10^15 for 14 PiB,
+    # beyond any address space: refused at once without touching memory
     monkeypatch.setenv("QHOG_MAX_QUBITS", "60")
-    for command in ("simulate", "entangle"):
-        code, out, err = run_cli(capsys, command, "--eta", "0.3", "--n", "45", "--format", "json")
+    for argv in (("simulate", "--n", "45"), ("entangle", "--n", "45"),
+                 ("safe", "--n", str(10**15), "--sample", "1")):
+        code, out, err = run_cli(capsys, *argv, "--eta", "0.3", "--format", "json")
         assert (code, out) == (2, "")
-        assert err.startswith("error: --n 45: Unable to allocate 1.00 PiB") and err.count("\n") == 1
+        assert err.startswith(f"error: --n {argv[2]}: Unable to allocate ") and err.count("\n") == 1
     monkeypatch.setenv("QHOG_MAX_QUBITS", "abc")
     code, out, err = run_cli(capsys, "simulate", "--eta", "0.3", "--n", "3")
     assert (code, out) == (2, "")
