@@ -7,12 +7,12 @@ from qhog.bloch import QubitState, bloch_from_ket
 from qhog.collision import (
     _BLOCK,
     ExcitationState,
+    _system_after_run,
     apply_two_qubit,
     excitation_forward_run,
     init_pure,
     max_qubits,
     reduced_from_vector,
-    _system_after_run,
     run_mixed_system,
     run_pure,
 )
