@@ -14,9 +14,9 @@ inserts each reservoir qubit just before that qubit's collision and
 collides on the live prefix only.  A full run costs about two passes
 over the final vector instead of one per collision.  For the system
 qubit of a mixed run, the only qubit a mixed ``qhog simulate`` reports,
-even the final vector is never stored: the state before the last
-collision takes 2**N amplitudes, and each block the reduction reads is
-built from it and collided on its own.
+no large vector is held: the state without the last m collided qubits
+takes 2**(N+1-m) amplitudes, and parts of the final state are built from
+it on a thread pool and reduced block by block as they come.
 
 For the |1> system / |0> reservoir initial condition the dynamics never
 leaves the one-excitation subspace, so the same evolution can be tracked
@@ -60,6 +60,10 @@ def max_qubits() -> int:
 # amplitudes per quarter of the state in one step of the collision kernel:
 # the four quarter blocks and their temporaries fit a 1-2 MB L2 cache
 _BLOCK = 1 << 14
+# amplitudes per part of a streamed run at least: smaller parts make numpy
+# calls too short for two threads to overlap; each of at most four workers
+# holds one part
+_PART, _PART_WORKERS = 1 << 17, 4
 
 
 def _blocks(shape, size):
@@ -136,24 +140,51 @@ def reduced_from_vector(vec: np.ndarray, num_qubits: int, keep) -> np.ndarray:
         raise ValueError(f"need one or two distinct qubits in 0..{num_qubits - 1}, got {keep}")
     quarters = _quarters(vec, num_qubits, keep)
     d = 2 ** len(keep)
-    parts = (quarters[(slice(None),) * len(keep) + idx]
-             for idx in _blocks(quarters.shape[-3:], _BLOCK))
-    return _reduce_parts(parts, d, min(_BLOCK, vec.size // d))
+    rows = np.empty((d, 2, min(_BLOCK, vec.size // d)))
+    return _summed([_block_terms(quarters[(slice(None),) * len(keep) + idx], rows)
+                    for idx in _blocks(quarters.shape[-3:], _BLOCK)], d)
 
 
-def _reduce_parts(parts, d: int, size: int) -> np.ndarray:
-    """The d x d matrix M M^dagger summed over ``parts``, each d rows of ``size`` amplitudes."""
-    rows = np.empty((d, 2, size))
-    x, y, xy = rows[:, 0], rows[:, 1], rows.reshape(d, -1)
+def _block_terms(part, rows) -> tuple:
+    """The einsum terms of M M^dagger from the d rows of one block, via a (d, 2, size) buffer."""
+    x, y, xy = rows[:, 0], rows[:, 1], rows.reshape(len(rows), -1)
+    np.copyto(x.reshape(part.shape), part.real)
+    np.copyto(y.reshape(part.shape), part.imag)
+    return np.einsum("ik,jk->ij", xy, xy), np.einsum("ik,jk->ij", y, x)
+
+
+def _summed(terms, d: int) -> np.ndarray:
+    """M M^dagger from the ``_block_terms`` of every block, added in block order."""
     re, yx = np.zeros((d, d)), np.zeros((d, d))
-    for part in parts:
-        np.copyto(x.reshape(part.shape), part.real)
-        np.copyto(y.reshape(part.shape), part.imag)
-        re += np.einsum("ik,jk->ij", xy, xy)
-        yx += np.einsum("ik,jk->ij", y, x)
+    for a, b in terms:
+        re += a
+        yx += b
     rho = np.empty((d, d), dtype=complex)
     rho.real, rho.imag = re, yx - yx.T
     return rho
+
+
+def _workers() -> int:
+    """The number of usable CPUs."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_map(fn, items) -> list:
+    """``list(map(fn, items))`` on one thread per usable CPU.
+
+    Each call must own the buffers it writes; numpy's loops release the GIL,
+    so the calls run side by side with the bits of one-at-a-time calls.
+    """
+    if len(items) < 2:
+        return list(map(fn, items))
+    # imported here: concurrent.futures loads logging, which no other command needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(_workers()) as pool:
+        return list(pool.map(fn, items))
 
 
 def _checked_ket(name: str, ket) -> np.ndarray:
@@ -212,7 +243,8 @@ class CollisionState:
         return reduced_from_vector(self.vector, self.num_qubits, qubits)
 
 
-def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray) -> int:
+def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray,
+                  first: bool = True) -> int:
     """Add qubit ``k`` in state ``ket`` to the state of the ``live`` qubits, in place.
 
     ``buf[:2**len(live)]`` holds the state of the qubits in ``live``, kept in
@@ -222,7 +254,11 @@ def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray) -> 
     live qubits before ``k``) becomes rows 2r (``k`` = 0) and 2r + 1 (``k`` = 1)
     of the new one, so the upper half of the rows lands wholly past the old
     state: halving chunks of rows, from the top down, never overwrite a row
-    before it is read, and no second copy of the state is made.
+    before it is read, and no second copy of the state is made.  numpy
+    rounds an in-place product of one amplitude without FMA, unlike any
+    other product here, so a row 0 of one amplitude is multiplied in place
+    only if it is row 0 of the whole state (``first``); in a part of a
+    larger state it is read from a copy, as any other row is.
     """
     pos = sum(q < k for q in live)
     rows, low = 1 << pos, 1 << (len(live) - pos)
@@ -232,8 +268,9 @@ def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray) -> 
     while top:
         bottom = top // 2
         # in row 0, the |1> half lies past the source and the |0> half overwrites it
+        old = src[bottom:top] if bottom or first or low > 1 else src[:1].copy()
         for bit in (1, 0):
-            np.multiply(src[bottom:top], ket[bit], out=dst[bottom:top, bit])
+            np.multiply(old, ket[bit], out=dst[bottom:top, bit])
         top = bottom
     live.insert(pos, k)
     return pos
@@ -289,50 +326,67 @@ def init_pure(system, reservoir, n: int, angle: SwapAngle) -> CollisionState:
     return run_pure(system, reservoir, n, angle, order=[])
 
 
-def _last_collision_blocks(prefix, n: int, k: int, ket, angle: SwapAngle):
-    """The parts ``reduced_from_vector`` reads for qubit 0 of the state after the last collision.
+def _part_bits(n: int, tail) -> tuple[int, list[int]]:
+    """``high``, the qubits 1..high above the reduction's blocks, and those that pick a part.
 
-    ``prefix`` holds every qubit but ``k``, the last one collided, as
-    (s, rows, low): the system bit, qubits 1..k-1 and qubits k+1..n.  Each
-    part of the final state, laid out (s, rows, b, low) with b the bit of
-    ``k``, is built in one small buffer and collided at once; a part below
-    the bit of ``k`` is one b half of its buffer.  numpy's complex multiply
-    takes an FMA loop or not by strides and aliasing, so ``k`` is multiplied
-    in through ``_insert_qubit``'s strided views, row 0's |0> half in place
-    as there: every part keeps run_pure's bits.
+    A part of the final state fixes the top non-tail qubits above the
+    blocks, as many as leave it ``_PART`` amplitudes.  It holds both values
+    of the h ``tail`` qubits above the blocks, so with 2**14-amplitude
+    blocks it takes 2**(15 + h) amplitudes if that is more.
     """
-    rows, low = 1 << (k - 1), 1 << (n - k)
-    size = min(_BLOCK, 1 << n)
-    src = prefix.reshape(2, rows, low)
-    step, width = max(1, size // (2 * low)), min(low, size)
-    sub = np.empty((2, step, 2, width), dtype=complex)
-    halves = (slice(None),) if 2 * low <= size else (slice(0, 1), slice(1, 2))
-    for r in range(0, rows, step):
-        for half in halves:
-            for c in range(0, low, width):
-                for s in (0, 1):
-                    for bit in (1, 0):
-                        np.multiply(src[s, r : r + step, c : c + width], ket[bit],
-                                    out=sub[s, :, bit])
-                if r == 0:
-                    sub[0, 0, 0] = src[0, 0, c : c + width]
-                    np.multiply(sub[0, :1, 0], ket[0], out=sub[0, :1, 0])
-                # b is qubit 1 + log2(step) of the part
-                apply_two_qubit(sub.reshape(-1), num_qubits_of(sub.size), angle, 0,
-                                step.bit_length())
-                yield sub[:, :, half]
+    high = n + 1 - min(_BLOCK, 1 << n).bit_length()
+    free = [q for q in range(1, high + 1) if q not in tail]
+    return high, free[: max(0, n + 2 - _PART.bit_length())]
 
 
-def _system_after_run(buf, system, reservoir, n: int, angle: SwapAngle, order) -> np.ndarray:
-    """``run_pure(system, reservoir, n, angle, order).reduced(0)``, bit for bit, in 2**n amplitudes.
+def _tail_length(n: int, order, workers: int) -> int:
+    """The m <= 8 with h <= 3 that holds the least: the prefix plus one part per worker."""
+    best = (np.inf, 1)
+    for m in range(1, min(8, len(order)) + 1):
+        high, fixed = _part_bits(n, order[-m:])
+        if sum(q <= high for q in order[-m:]) > 3:
+            break
+        best = min(best, ((1 << (n + 1 - m)) + workers * (1 << (n + 1 - len(fixed))), m))
+    return best[1]
 
-    The inputs must be checked and ``order`` non-empty.  ``buf`` (2**n
-    amplitudes) takes every qubit but the last one collided; the last
-    collision is applied part by part as the reduction reads the parts.
+
+def _system_after_run(prefix, system, reservoir, n: int, angle: SwapAngle, order,
+                      m: int) -> np.ndarray:
+    """``run_pure(system, reservoir, n, angle, order).reduced(0)``, bit for bit, from a prefix.
+
+    The inputs must be checked and 1 <= m <= len(order).  ``prefix`` (2**(n +
+    1 - m) amplitudes) takes every qubit but the tail, the last m collided.
+    Each part of the final state (``_part_bits``) starts as a slice of the
+    prefix, and the tail is inserted and collided in it in order, as in
+    ``_grow``.  The parts run on a thread pool, each worker in buffers of
+    its own.  Each block's terms go into a list by block index and are
+    added in block order, so the bits do not depend on the threads.
     """
-    _grow(buf, system, reservoir, n, angle, order, len(order) - 1)
-    parts = _last_collision_blocks(buf, n, order[-1], reservoir, angle)
-    return _reduce_parts(parts, 2, min(_BLOCK, 1 << n))
+    _grow(prefix, system, reservoir, n, angle, order, len(order) - m)
+    tail, size = order[-m:], min(_BLOCK, 1 << n)
+    high, fixed = _part_bits(n, tail)
+    # block index of (part, block within the part): qubit 1 is its top bit
+    index = np.arange(1 << high).reshape((2,) * high).transpose(
+        [q - 1 for q in fixed] + [q - 1 for q in range(1, high + 1) if q not in fixed])
+    index = index.reshape(1 << len(fixed), -1)
+    src = prefix.reshape(2, len(index), -1)
+    terms = [None] * (1 << high)
+    workers = min(_workers(), _PART_WORKERS, len(index))
+
+    def run_parts(first: int) -> None:
+        buf = np.empty(2 * index.shape[1] * size, dtype=complex)
+        rows = np.empty((2, 2, size))
+        for j in range(first, len(index), workers):
+            np.copyto(buf[: 2 * src.shape[2]].reshape(2, -1), src[:, j])
+            live = [q for q in range(n + 1) if q not in tail and q not in fixed]
+            for k in tail:
+                pos = _insert_qubit(buf, live, k, reservoir, j == 0 and k > max(fixed, default=0))
+                apply_two_qubit(buf[: 2 ** len(live)], len(live), angle, 0, pos)
+            for i, block in enumerate(index[j]):
+                terms[block] = _block_terms(buf.reshape(2, -1, size)[:, i], rows)
+
+    _pool_map(run_parts, range(workers))
+    return _summed(terms, 2)
 
 
 def run_mixed_system(
@@ -345,24 +399,29 @@ def run_mixed_system(
     of the pure-component results.  Each eigenvector of the system state
     runs alone, and its vector is dropped once reduced.  The reservoir must
     be pure.  For the system qubit alone, which is what the homogenizer
-    delivers, no component holds its final state: every qubit but the last
-    one collided grows in one buffer of 2**n amplitudes that both components
-    share, half the 2**(n+1) of the final state, and the last collision is
-    applied block by block as the reduction reads the blocks.
+    delivers, no component holds a large vector: every qubit but the last
+    m collided grows in a prefix of 2**(n+1-m) amplitudes that both
+    components share, one after the other, and ``_system_after_run``
+    streams the last m collisions from it part by part on a thread pool.
+    m (``_tail_length``) keeps the prefix and the parts small: at 22
+    qubits on two CPUs, 0.25 to 8 MiB of prefix and a 2 or 4 MiB part per
+    worker.
     """
     vals, vecs = hermitian_eig(rho0.density())
     _, reservoir, checked = _checked_run(vecs[:, 0], reservoir, n, order)
     system_only = list(np.atleast_1d(qubits)) == [0] and checked
-    buf = np.empty(2**n, dtype=complex) if system_only else None
+    if system_only:
+        m = _tail_length(n, checked, min(_workers(), _PART_WORKERS))
+        buf = np.empty(2 ** (n + 1 - m), dtype=complex)
     out = None
     for i in range(2):
         weight = float(vals[i])
         if weight < 1e-14:
             continue
-        if buf is None:
-            rho = run_pure(vecs[:, i], reservoir, n, angle, order).reduced(qubits)
+        if system_only:
+            rho = _system_after_run(buf, vecs[:, i], reservoir, n, angle, checked, m)
         else:
-            rho = _system_after_run(buf, vecs[:, i], reservoir, n, angle, checked)
+            rho = run_pure(vecs[:, i], reservoir, n, angle, order).reduced(qubits)
         out = weight * rho if out is None else out + weight * rho
     return out
 

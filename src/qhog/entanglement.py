@@ -12,11 +12,9 @@ states or one of those closed forms, so each can check the other.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .collision import CollisionState
+from .collision import CollisionState, _pool_map
 from .homogenizer import SwapAngle
 from .linalg import SY, hermitian_eig, is_hermitian, psd_sqrt, tensor_product
 
@@ -58,19 +56,6 @@ def concurrence(rho) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def spin_flip_lambdas_reference(rho) -> np.ndarray:
-    """Square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).
-
-    Independent route to the same lambdas through the non-Hermitian
-    product matrix; kept for cross-checking the Hermitian form.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    r = rho @ SIGMA_YY @ rho.conj() @ SIGMA_YY
-    vals = np.linalg.eigvals(r)
-    vals = np.clip(vals.real, 0.0, None)
-    return np.sqrt(np.sort(vals)[::-1])
-
-
 def _tangle(rho) -> float:
     """4 det of a one-qubit reduced state, clipped to [0, 1]."""
     det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
@@ -99,19 +84,10 @@ _EXCHANGE = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
 def _reduced_states(state: CollisionState, keeps) -> list[np.ndarray]:
     """``state.reduced(keep)`` for each entry of ``keeps``, on one thread per usable CPU.
 
-    Each reduction owns its buffers and only reads the vector, and its numpy
-    loops release the GIL, so the reductions run side by side with the bits
-    of one-at-a-time calls.
+    Each reduction owns its buffers and only reads the vector, so the
+    reductions keep the bits of one-at-a-time calls.
     """
-    # imported here: concurrent.futures loads logging, which no other command needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        workers = os.cpu_count() or 1
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(state.reduced, keeps))
+    return _pool_map(state.reduced, keeps)
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:

@@ -603,6 +603,28 @@ def test_mixed_system_run_holds_half_the_final_state():
     assert (kib20 - kib3) / 1024 < 24
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_mixed_system_run_streams_its_last_collisions():
+    # qubits 1, 2 and 3 last: all three sit above the 2**14-amplitude blocks
+    # of a 22-qubit run, the most a part may hold both values of.  On two
+    # CPUs the run streams its last collisions from a prefix of 2**14 amplitudes
+    # through two parts of 2**18 (8.25 MiB); the state before the last
+    # collision alone took 32 MiB.  The parts grow with the workers, so the
+    # children run on at most two CPUs
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    two_cpus = "import os\nos.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+    argv = "simulate --delta 0.2 --n {} --system 0.2,0,0.1 --order {} --format json"
+    last_123 = ",".join(map(str, [*range(4, 22), 1, 2, 3]))
+    proc = subprocess.run([sys.executable, "-c", two_cpus + _PEAK_RSS_CHILDREN,
+                           argv.format(21, last_123), argv.format(3, "3,1,2")],
+                          capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (code21, kib21), (code3, kib3) = [map(int, line.split()) for line in proc.stdout.splitlines()]
+    assert code21 == code3 == 0
+    assert (kib21 - kib3) / 1024 < 20
+
+
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the kernel settings name x86-64 CPUs")
 def test_bloch_lengths_and_kets_do_not_depend_on_the_kernel():

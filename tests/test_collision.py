@@ -1,13 +1,17 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from qhog import collision
 from qhog.bloch import QubitState, bloch_from_ket
 from qhog.collision import (
     _BLOCK,
     ExcitationState,
+    _part_bits,
     _system_after_run,
+    _tail_length,
     apply_two_qubit,
     excitation_forward_run,
     init_pure,
@@ -374,36 +378,78 @@ def test_run_mixed_diagonal_matches_closed_form():
 
 
 def _streamed_cases(rng):
-    """(n, order) cases ending on every last qubit for n <= 6, partial orders included."""
-    yield 1, [1]
+    """(n, order, log2 block, log2 part) cases of the streamed run.
+
+    With the real 2**14-amplitude blocks and 2**17-amplitude parts: every
+    last qubit for n <= 6, partial orders included, then n = 14..18 with 0
+    to 3 of the last eight qubits above the blocks.  A part of that size
+    sums too many amplitudes for one amplitude's last bit to show in the
+    system's 2x2 state, so small blocks and parts then cut n = 5..9 into
+    many parts, where it does.
+    """
+    yield 1, [1], 14, 17
     for n in range(2, 7):
         for last in range(1, n + 1):
             rest = [int(k) for k in rng.permutation([k for k in range(1, n + 1) if k != last])]
-            yield n, rest + [last]
-            yield n, rest[: n // 2] + [last]  # leaves the other qubits untouched
-    # above one 2**14-amplitude block: the last qubit's bit above the blocks
-    # (top), inside them (bottom), and a partial order
-    for n in range(14, 18):
-        rest = [int(k) for k in rng.permutation(np.arange(2, n))]
-        yield n, [n] + rest + [1]
-        yield n, [1] + rest + [n]
-        yield n, rest[:4] + [1]
+            yield n, rest + [last], 14, 17
+            yield n, rest[: n // 2] + [last], 14, 17  # leaves the other qubits untouched
+    for n, high_in_tail in ((14, 0), (15, 1), (16, 2), (16, 0), (17, 3), (17, 1), (18, 2),
+                            (18, 3)):
+        high = n - 14  # qubits 1..high pick the block
+        tops = [int(k) + 1 for k in rng.permutation(high)]
+        lows = [int(k) + high + 1 for k in rng.permutation(n - high)]
+        tail = [int(k) for k in rng.permutation(tops[:high_in_tail] + lows[: 8 - high_in_tail])]
+        rest = [int(k) for k in rng.permutation(tops[high_in_tail:] + lows[8 - high_in_tail:])]
+        yield n, rest[: len(rest) // 2 if n % 2 else None] + tail, 14, 17
+    for _ in range(40):
+        n = int(rng.integers(5, 10))
+        order = [int(k) + 1 for k in rng.permutation(n)]
+        yield n, order[int(rng.integers(0, 2)) * n // 3:], int(rng.integers(1, 4)), 3
 
 
-def test_streamed_system_state_is_run_pure_bit_for_bit():
-    # the last collision is built block by block from 2**n amplitudes; numpy's
-    # complex multiply rounds by strides and aliasing, so a block built any other
-    # way than the materialized state would move the last bits with complex kets
+def test_streamed_system_state_is_run_pure_bit_for_bit(monkeypatch):
+    # the last m collisions are streamed part by part from a prefix without
+    # them; numpy's complex multiply rounds an in-place product of one
+    # amplitude without FMA, so a part built any other way than the
+    # materialized state would move the last bits with complex kets.  Every
+    # m the chooser can pick runs on one worker and on three, with more
+    # threads than cores switching as often as the interpreter allows
     rng = np.random.default_rng(20)
-    for i, (n, order) in enumerate(_streamed_cases(rng)):
-        system, reservoir = _generic_ket(2 * i), _generic_ket(2 * i + 1)
-        if i % 5 == 0:  # and the |1> system against the |0> reservoir
-            system, reservoir = KET1, KET0
-        angle = SwapAngle(float(rng.uniform(0.1, 1.4)))
-        want = run_pure(system, reservoir, n, angle, order).reduced(0)
-        buf = np.empty(2**n, dtype=complex)
-        got = _system_after_run(buf, system, reservoir, n, angle, order)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, order)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i, (n, order, block, part) in enumerate(_streamed_cases(rng)):
+            monkeypatch.setattr(collision, "_BLOCK", 1 << block)
+            monkeypatch.setattr(collision, "_PART", 1 << part)
+            system, reservoir = _generic_ket(2 * i), _generic_ket(2 * i + 1)
+            if i % 5 == 0:  # and the |1> system against the |0> reservoir
+                system, reservoir = KET1, KET0
+            angle = SwapAngle(float(rng.uniform(0.1, 1.4)))
+            want = run_pure(system, reservoir, n, angle, order).reduced(0).view(np.uint64)
+            for m in range(1, min(8, len(order)) + 1):
+                workers = 1 + 2 * ((i + m) % 2)
+                monkeypatch.setattr(collision, "_workers", lambda: workers)
+                buf = np.empty(2 ** (n + 1 - m), dtype=complex)
+                got = _system_after_run(buf, system, reservoir, n, angle, order, m)
+                assert np.array_equal(got.view(np.uint64), want), (n, order, block, m, workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_tail_length_holds_the_least():
+    # the prefix takes 2**(n+1-m) amplitudes and each worker's part 2**17,
+    # or 2**(15+h) with h <= 3 tail qubits above the blocks (qubits 1..7 at
+    # 22 qubits): with 7, 1, 2, 3 last, the run streams 3 collisions from
+    # 8 MiB of prefix into two 4 MiB parts
+    low = list(range(8, 22))
+    assert _tail_length(21, low + [4, 5, 6, 7, 1, 2, 3], 2) == 3
+    assert _tail_length(21, [4, 5, 6, 7, 1, 2, 3] + low, 2) == 8
+    # the fourth tail qubit above the blocks would double the parts
+    assert _tail_length(21, low[:-2] + [7, 6, 5, 4, 1, 2, 21, 20], 2) == 4
+    assert _tail_length(21, [1], 2) == 1
+    assert _tail_length(3, [1, 2, 3], 4) == 3  # one part: the whole final state
+    high, fixed = _part_bits(21, [1, 2, 3])
+    assert (high, fixed) == (7, [4, 5, 6, 7])
 
 
 def test_excitation_initial_and_collisions():

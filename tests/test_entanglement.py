@@ -9,6 +9,7 @@ import pytest
 from qhog.cli import _csv
 from qhog.collision import init_pure, reduced_from_vector, run_pure
 from qhog.entanglement import (
+    SIGMA_YY,
     ckw_sum,
     closed_form_concurrences,
     closed_pair_concurrence,
@@ -17,7 +18,6 @@ from qhog.entanglement import (
     concurrence_table,
     entanglement_tables,
     pair_states,
-    spin_flip_lambdas_reference,
     tangle_one_vs_rest,
     total_tangle_sum,
 )
@@ -26,6 +26,19 @@ from qhog.linalg import tensor_product
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
+
+
+def spin_flip_lambdas_reference(rho) -> np.ndarray:
+    """Square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).
+
+    Independent route to the same lambdas through the non-Hermitian
+    product matrix, for cross-checking the Hermitian form of ``concurrence``.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    r = rho @ SIGMA_YY @ rho.conj() @ SIGMA_YY
+    vals = np.linalg.eigvals(r)
+    vals = np.clip(vals.real, 0.0, None)
+    return np.sqrt(np.sort(vals)[::-1])
 
 
 def random_two_qubit_density(rng):
