@@ -373,13 +373,14 @@ def _system_after_run(prefix, system, reservoir, n: int, angle: SwapAngle, order
     terms = [None] * (1 << high)
     workers = min(_workers(), _PART_WORKERS, len(index))
 
-    def run_parts(first: int) -> None:
+    def run_parts(worker: int) -> None:
         buf = np.empty(2 * index.shape[1] * size, dtype=complex)
         rows = np.empty((2, 2, size))
-        for j in range(first, len(index), workers):
+        for j in range(worker, len(index), workers):
             np.copyto(buf[: 2 * src.shape[2]].reshape(2, -1), src[:, j])
             live = [q for q in range(n + 1) if q not in tail and q not in fixed]
             for k in tail:
+                # part 0 starts with row 0 of the state unless a fixed qubit lies past k
                 pos = _insert_qubit(buf, live, k, reservoir, j == 0 and k > max(fixed, default=0))
                 apply_two_qubit(buf[: 2 ** len(live)], len(live), angle, 0, pos)
             for i, block in enumerate(index[j]):
