@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from .bloch import QubitState, ket_from_bloch
-from .collision import _checked_order, run_mixed_system, run_pure
+from .collision import QubitCapError, _checked_order, run_mixed_system, run_pure
 from .entanglement import entanglement_tables
 from .homogenizer import (MAX_STEPS, HomogenizationBudget, SwapAngle, budget_from_delta,
                           run_trajectory)
@@ -260,10 +260,10 @@ def _parse_order(args):
 
 
 def _sized(args, run, *inputs, **options):
-    """``run(*inputs, **options)``, naming ``--n`` when an array sized by it cannot be allocated."""
+    """``run(*inputs, **options)``, naming ``--n`` if its arrays exceed the qubit cap or memory."""
     try:
         return run(*inputs, **options)
-    except MemoryError as exc:
+    except (MemoryError, QubitCapError) as exc:
         raise ValueError(f"--n {args.n}: {exc}") from None
 
 
@@ -277,7 +277,7 @@ def cmd_simulate(args) -> int:
         state = _sized(args, run_pure, system, reservoir, args.n, angle, order)
         rho = state.reduced(0)
     elif args.format == "csv":
-        raise ValueError("CSV amplitude dumps need a pure system state")
+        raise ValueError(f"--system {args.system!r} is mixed: --format csv dumps pure amplitudes")
     else:
         state = None
         rho = _sized(args, run_mixed_system, system_state, reservoir, args.n, angle, [0], order)

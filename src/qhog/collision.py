@@ -57,6 +57,10 @@ def max_qubits() -> int:
     return cap
 
 
+class QubitCapError(ValueError):
+    """A run of more qubits than ``max_qubits()`` allows."""
+
+
 # amplitudes per quarter of the state in one step of the collision kernel:
 # the four quarter blocks and their temporaries fit a 1-2 MB L2 cache
 _BLOCK = 1 << 14
@@ -238,9 +242,7 @@ class CollisionState:
         return CollisionState(vec, self.angle, self.log + order)
 
     def reduced(self, qubits) -> np.ndarray:
-        if isinstance(qubits, (int, np.integer)):
-            qubits = [qubits]
-        return reduced_from_vector(self.vector, self.num_qubits, qubits)
+        return reduced_from_vector(self.vector, self.num_qubits, np.atleast_1d(qubits))
 
 
 def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray,
@@ -284,7 +286,7 @@ def _checked_run(system, reservoir, n: int, order):
         raise ValueError("need at least one reservoir qubit")
     cap = max_qubits()
     if n + 1 > cap:
-        raise ValueError(f"{n + 1} qubits exceeds the configured cap of {cap}")
+        raise QubitCapError(f"{n + 1} qubits exceeds the configured cap of {cap} ({_ENV_CAP})")
     return system, reservoir, _checked_order(order, n)
 
 
@@ -339,39 +341,42 @@ def _part_bits(n: int, tail) -> tuple[int, list[int]]:
     return high, free[: max(0, n + 2 - _PART.bit_length())]
 
 
-def _tail_length(n: int, order, workers: int) -> int:
-    """The m <= 8 with h <= 3 that holds the least: the prefix plus one part per worker."""
-    best = (np.inf, 1)
+def _tail_length(n: int, order, workers: int) -> tuple[int, int, list[int]]:
+    """The m <= 8 with h <= 3 of least prefix plus one part per worker, and its ``_part_bits``."""
+    best = (np.inf,)
     for m in range(1, min(8, len(order)) + 1):
         high, fixed = _part_bits(n, order[-m:])
         if sum(q <= high for q in order[-m:]) > 3:
             break
-        best = min(best, ((1 << (n + 1 - m)) + workers * (1 << (n + 1 - len(fixed))), m))
-    return best[1]
+        best = min(best, ((1 << (n + 1 - m)) + workers * (1 << (n + 1 - len(fixed))), m,
+                          high, fixed))
+    return best[1:]
 
 
-def _system_after_run(prefix, system, reservoir, n: int, angle: SwapAngle, order,
-                      m: int) -> np.ndarray:
+def _system_after_run(system, reservoir, n: int, angle: SwapAngle, order) -> np.ndarray:
     """``run_pure(system, reservoir, n, angle, order).reduced(0)``, bit for bit, from a prefix.
 
-    The inputs must be checked and 1 <= m <= len(order).  ``prefix`` (2**(n +
-    1 - m) amplitudes) takes every qubit but the tail, the last m collided.
-    Each part of the final state (``_part_bits``) starts as a slice of the
-    prefix, and the tail is inserted and collided in it in order, as in
-    ``_grow``.  The parts run on a thread pool, each worker in buffers of
-    its own.  Each block's terms go into a list by block index and are
-    added in block order, so the bits do not depend on the threads.
+    The inputs must be checked and ``order`` nonempty.  Every qubit but the
+    tail, the last m collided (``_tail_length``), grows in a prefix of
+    2**(n+1-m) amplitudes.  Each part of the final state (``_part_bits``)
+    starts as a slice of the prefix, and the tail is inserted and collided
+    in it in order, as in ``_grow``.  The parts run on at most
+    ``_PART_WORKERS`` threads, each in buffers of its own.  Each block's
+    terms go into a list by block index and are added in block order, so
+    the bits do not depend on the threads.
     """
+    workers = min(_workers(), _PART_WORKERS)
+    m, high, fixed = _tail_length(n, order, workers)
+    prefix = np.empty(2 ** (n + 1 - m), dtype=complex)
     _grow(prefix, system, reservoir, n, angle, order, len(order) - m)
     tail, size = order[-m:], min(_BLOCK, 1 << n)
-    high, fixed = _part_bits(n, tail)
     # block index of (part, block within the part): qubit 1 is its top bit
     index = np.arange(1 << high).reshape((2,) * high).transpose(
         [q - 1 for q in fixed] + [q - 1 for q in range(1, high + 1) if q not in fixed])
     index = index.reshape(1 << len(fixed), -1)
     src = prefix.reshape(2, len(index), -1)
     terms = [None] * (1 << high)
-    workers = min(_workers(), _PART_WORKERS, len(index))
+    workers = min(workers, len(index))
 
     def run_parts(worker: int) -> None:
         buf = np.empty(2 * index.shape[1] * size, dtype=complex)
@@ -400,29 +405,21 @@ def run_mixed_system(
     of the pure-component results.  Each eigenvector of the system state
     runs alone, and its vector is dropped once reduced.  The reservoir must
     be pure.  For the system qubit alone, which is what the homogenizer
-    delivers, no component holds a large vector: every qubit but the last
-    m collided grows in a prefix of 2**(n+1-m) amplitudes that both
-    components share, one after the other, and ``_system_after_run``
-    streams the last m collisions from it part by part on a thread pool.
-    m (``_tail_length``) keeps the prefix and the parts small: at 22
-    qubits on two CPUs, 0.25 to 8 MiB of prefix and a 2 or 4 MiB part per
+    delivers, no component holds a large vector: ``_system_after_run``
+    streams the last collisions of each from a small prefix.  At 22 qubits
+    on two CPUs that is 0.25 to 8 MiB of prefix and a 2 or 4 MiB part per
     worker.
     """
     vals, vecs = hermitian_eig(rho0.density())
     _, reservoir, checked = _checked_run(vecs[:, 0], reservoir, n, order)
     system_only = list(np.atleast_1d(qubits)) == [0] and checked
-    if system_only:
-        m = _tail_length(n, checked, min(_workers(), _PART_WORKERS))
-        buf = np.empty(2 ** (n + 1 - m), dtype=complex)
     out = None
     for i in range(2):
         weight = float(vals[i])
         if weight < 1e-14:
             continue
-        if system_only:
-            rho = _system_after_run(buf, vecs[:, i], reservoir, n, angle, checked, m)
-        else:
-            rho = run_pure(vecs[:, i], reservoir, n, angle, order).reduced(qubits)
+        rho = (_system_after_run(vecs[:, i], reservoir, n, angle, checked) if system_only
+               else run_pure(vecs[:, i], reservoir, n, angle, order).reduced(qubits))
         out = weight * rho if out is None else out + weight * rho
     return out
 

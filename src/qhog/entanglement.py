@@ -12,6 +12,8 @@ states or one of those closed forms, so each can check the other.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .collision import CollisionState, _pool_map
@@ -23,6 +25,9 @@ SIGMA_YY = tensor_product(SY, SY)
 _ROUNDOFF = 1e-10
 # how far from Hermitian and from unit trace a concurrence input may be
 _STATE_TOL = 1e-8
+# spin-flip eigenvalues below _ZERO_EIG are exact zeros, so concurrences below its root read 0.0
+_ZERO_EIG = 1e-14
+CONCURRENCE_FLOOR = math.sqrt(_ZERO_EIG)  # exactly 1e-7
 
 
 def concurrence(rho) -> float:
@@ -33,9 +38,9 @@ def concurrence(rho) -> float:
     usual spin-flip singular values lambda_i, which keeps the spectrum
     real and non-negative by construction.
 
-    Eigenvalues below 1e-14 are read as exact zeros, so every lambda_i
-    below 1e-7 is 0: a concurrence whose lambda_1 lies below 1e-7 (for a
-    pure state, any concurrence below 1e-7) reads as exactly 0.0.
+    Eigenvalues below ``_ZERO_EIG`` (1e-14) are exact zeros, so a concurrence
+    whose lambda_1 lies below ``CONCURRENCE_FLOOR`` (1e-7; for a pure state,
+    any concurrence below it) reads as exactly 0.0.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -51,7 +56,7 @@ def concurrence(rho) -> float:
         raise ValueError("spin-flip spectrum came out negative; input is not a state")
     # eigenvalues at roundoff scale are exact zeros of the rank-deficient
     # product; the square root would blow their noise up to ~1e-8
-    vals = np.where(vals < 1e-14, 0.0, np.clip(vals, 0.0, None))
+    vals = np.where(vals < _ZERO_EIG, 0.0, np.clip(vals, 0.0, None))
     lam = np.sqrt(vals)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
@@ -81,15 +86,6 @@ def ckw_sum(state: CollisionState, j: int) -> float:
 _EXCHANGE = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
 
 
-def _reduced_states(state: CollisionState, keeps) -> list[np.ndarray]:
-    """``state.reduced(keep)`` for each entry of ``keeps``, on one thread per usable CPU.
-
-    Each reduction owns its buffers and only reads the vector, so the
-    reductions keep the bits of one-at-a-time calls.
-    """
-    return _pool_map(state.reduced, keeps)
-
-
 def _pairs(n: int) -> list[tuple[int, int]]:
     return [(j, k) for j in range(n) for k in range(j + 1, n)]
 
@@ -97,7 +93,7 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 def pair_states(state: CollisionState) -> dict[tuple[int, int], np.ndarray]:
     """Reduced density matrix of every pair (j, k), j < k: one reduction each."""
     pairs = _pairs(state.num_qubits)
-    return dict(zip(pairs, _reduced_states(state, pairs)))
+    return dict(zip(pairs, _pool_map(state.reduced, pairs)))
 
 
 def concurrence_table(rhos) -> dict[tuple[int, int], float]:
@@ -115,7 +111,7 @@ def entanglement_tables(state: CollisionState, system, reservoir) -> tuple[list,
     """Pair rows {j, k, C} and tangle rows {j, tau, S} of a run from ``system`` and ``reservoir``.
 
     Every pair and every qubit is reduced once, all in one pass of
-    :func:`_reduced_states`; the concurrences and tangles are then taken in
+    ``_pool_map``; the concurrences and tangles are then taken in
     order on the calling thread.  S_j adds C(rho_jk)^2 in k order, as
     :func:`ckw_sum` does; for k < j the pair state is rho_kj with its qubits
     exchanged, and its concurrence is taken anew, because the numeric
@@ -125,7 +121,7 @@ def entanglement_tables(state: CollisionState, system, reservoir) -> tuple[list,
     of S_j) and its residual.
     """
     keys = _pairs(state.num_qubits)
-    reduced = _reduced_states(state, keys + list(range(state.num_qubits)))
+    reduced = _pool_map(state.reduced, keys + list(range(state.num_qubits)))
     rhos, singles = dict(zip(keys, reduced)), reduced[len(keys):]
     table = concurrence_table(rhos)
     n, angle = len(state.log), state.angle

@@ -90,11 +90,7 @@ def hermitian_eig(h, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     a = (h + h.conj().T) / 2.0
     v = np.eye(n, dtype=complex)
     scale = float(np.linalg.norm(a))
-    if scale == 0.0 or n == 1:
-        vals = np.real(np.diag(a)).copy()
-        order = np.argsort(-vals)
-        return vals[order], v[:, order]
-
+    # a zero or 1x1 matrix has no off-diagonal weight and leaves at once
     for _ in range(_MAX_JACOBI_SWEEPS):
         mask = np.abs(a) ** 2
         np.fill_diagonal(mask, 0.0)

@@ -38,7 +38,6 @@ from .bloch import (
 
 KET_ZERO = np.array([1.0, 0.0], dtype=complex)
 KET_ONE = np.array([0.0, 1.0], dtype=complex)
-CONCURRENCE_FLOOR = 1e-7  # entanglement.concurrence reads any C below it as 0.0
 
 
 class CheckFailure(Exception):
@@ -409,7 +408,7 @@ def check_collision_sector(rng, quick) -> str:
         for (j, k), rho in zip(pairs, rhos):
             c, want = ent.concurrence(rho), 2.0 * f[j] * f[k] * weight
             # the reading is 0.0 below the floor, and either value right at it
-            err = min(abs(c - want), c) if want < 1.01 * CONCURRENCE_FLOOR else abs(c - want)
+            err = min(abs(c - want), c) if want < 1.01 * ent.CONCURRENCE_FLOOR else abs(c - want)
             worst_c = max(worst_c, err)
     _require(worst_c <= 1e-8, f"pair concurrence deviates from the sector form by {worst_c:.3e}")
     _require(worst_tau <= 1e-8, f"tangle deviates from the sector form by {worst_tau:.3e}")

@@ -14,8 +14,8 @@ import qhog
 from qhog.bloch import QubitState
 from qhog.cli import main, parse_ket, parse_state
 from qhog.collision import CollisionState, excitation_forward_run, run_pure
+from qhog.entanglement import CONCURRENCE_FLOOR
 from qhog.homogenizer import SwapAngle, budget_from_delta, run_trajectory
-from qhog.verify import CONCURRENCE_FLOOR
 
 
 def run_cli(capsys, *argv):
@@ -719,6 +719,7 @@ def test_safe_seed_needs_sample(capsys):
 
 
 def test_error_lines_name_their_input(capsys, monkeypatch):
+    monkeypatch.delenv("QHOG_MAX_QUBITS", raising=False)
     code, out, err = run_cli(capsys, "safe", "--delta", "0.1", "--sample", "5", "--seed", "-3")
     assert (code, out) == (2, "")
     assert err.startswith("error: --seed") and err.count("\n") == 1
@@ -765,6 +766,12 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
         (("bounds", "--delta", "nan"), "error: --delta nan: delta must lie in (0, 2), got nan\n"),
         (("bounds", "--delta", "1e-300"),
          "error: --delta 1e-300: delta 1e-300 is too small: 1 - delta/2 rounds to 1\n"),
+        # one qubit above the default cap of 22, and a mixed state with no amplitudes to dump
+        *(((command, "--eta", "0.3", "--n", "22", "--format", "json"),
+           "error: --n 22: 23 qubits exceeds the configured cap of 22 (QHOG_MAX_QUBITS)\n")
+          for command in ("simulate", "entangle")),
+        (("simulate", "--eta", "0.3", "--n", "3", "--system", "0,0,0.1", "--format", "csv"),
+         "error: --system '0,0,0.1' is mixed: --format csv dumps pure amplitudes\n"),
     ]:
         assert run_cli(capsys, *argv) == (2, "", want)
     # a sampled sweep has no such bound

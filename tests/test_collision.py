@@ -412,8 +412,9 @@ def test_streamed_system_state_is_run_pure_bit_for_bit(monkeypatch):
     # them; numpy's complex multiply rounds an in-place product of one
     # amplitude without FMA, so a part built any other way than the
     # materialized state would move the last bits with complex kets.  Every
-    # m the chooser can pick runs on one worker and on three, with more
-    # threads than cores switching as often as the interpreter allows
+    # m the chooser can pick is forced on it and runs on one worker and on
+    # three, with more threads than cores switching as often as the
+    # interpreter allows
     rng = np.random.default_rng(20)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -429,8 +430,9 @@ def test_streamed_system_state_is_run_pure_bit_for_bit(monkeypatch):
             for m in range(1, min(8, len(order)) + 1):
                 workers = 1 + 2 * ((i + m) % 2)
                 monkeypatch.setattr(collision, "_workers", lambda: workers)
-                buf = np.empty(2 ** (n + 1 - m), dtype=complex)
-                got = _system_after_run(buf, system, reservoir, n, angle, order, m)
+                monkeypatch.setattr(collision, "_tail_length",
+                                    lambda n, order, workers: (m, *_part_bits(n, order[-m:])))
+                got = _system_after_run(system, reservoir, n, angle, order)
                 assert np.array_equal(got.view(np.uint64), want), (n, order, block, m, workers)
     finally:
         sys.setswitchinterval(interval)
@@ -442,14 +444,13 @@ def test_tail_length_holds_the_least():
     # 22 qubits): with 7, 1, 2, 3 last, the run streams 3 collisions from
     # 8 MiB of prefix into two 4 MiB parts
     low = list(range(8, 22))
-    assert _tail_length(21, low + [4, 5, 6, 7, 1, 2, 3], 2) == 3
-    assert _tail_length(21, [4, 5, 6, 7, 1, 2, 3] + low, 2) == 8
+    m, high, fixed = _tail_length(21, low + [4, 5, 6, 7, 1, 2, 3], 2)
+    assert (m, high, fixed) == (3, 7, [4, 5, 6, 7])
+    assert _tail_length(21, [4, 5, 6, 7, 1, 2, 3] + low, 2)[0] == 8
     # the fourth tail qubit above the blocks would double the parts
-    assert _tail_length(21, low[:-2] + [7, 6, 5, 4, 1, 2, 21, 20], 2) == 4
-    assert _tail_length(21, [1], 2) == 1
-    assert _tail_length(3, [1, 2, 3], 4) == 3  # one part: the whole final state
-    high, fixed = _part_bits(21, [1, 2, 3])
-    assert (high, fixed) == (7, [4, 5, 6, 7])
+    assert _tail_length(21, low[:-2] + [7, 6, 5, 4, 1, 2, 21, 20], 2)[0] == 4
+    assert _tail_length(21, [1], 2)[0] == 1
+    assert _tail_length(3, [1, 2, 3], 4)[0] == 3  # one part: the whole final state
 
 
 def test_excitation_initial_and_collisions():

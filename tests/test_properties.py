@@ -137,15 +137,15 @@ def test_suites_catch_sign_mutation(monkeypatch):
 
 
 def test_suites_catch_swapped_pair_states(monkeypatch):
-    """The stepwise entanglement suites read the tables of entanglement._reduced_states."""
-    real = qhog.entanglement._reduced_states
+    """The stepwise entanglement suites read the tables that entanglement reduces on its pool."""
+    real = qhog.entanglement._pool_map
 
-    def swapped(state, keeps):
-        out = real(state, keeps)
+    def swapped(fn, keeps):
+        out = real(fn, keeps)
         out[0], out[1] = out[1], out[0]
         return out
 
-    monkeypatch.setattr(qhog.entanglement, "_reduced_states", swapped)
+    monkeypatch.setattr(qhog.entanglement, "_pool_map", swapped)
     for name in ("entanglement.closed_form_match", "entanglement.ckw_saturation"):
         assert not verify.run_check(name, seed=0, quick=False).ok, name
 
