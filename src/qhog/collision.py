@@ -16,7 +16,7 @@ over the final vector instead of one per collision.  For the system
 qubit of a mixed run, the only qubit a mixed ``qhog simulate`` reports,
 no large vector is held: the state without the last m collided qubits
 takes 2**(N+1-m) amplitudes, and parts of the final state are built from
-it on a thread pool and reduced block by block as they come.
+it one after another and reduced block by block as they come.
 
 For the |1> system / |0> reservoir initial condition the dynamics never
 leaves the one-excitation subspace, so the same evolution can be tracked
@@ -64,10 +64,6 @@ class QubitCapError(ValueError):
 # amplitudes per quarter of the state in one step of the collision kernel:
 # the four quarter blocks and their temporaries fit a 1-2 MB L2 cache
 _BLOCK = 1 << 14
-# amplitudes per part of a streamed run at least: smaller parts make numpy
-# calls too short for two threads to overlap; each of at most four workers
-# holds one part
-_PART, _PART_WORKERS = 1 << 17, 4
 
 
 def _blocks(shape, size):
@@ -168,29 +164,6 @@ def _summed(terms, d: int) -> np.ndarray:
     return rho
 
 
-def _workers() -> int:
-    """The number of usable CPUs."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _pool_map(fn, items) -> list:
-    """``list(map(fn, items))`` on one thread per usable CPU.
-
-    Each call must own the buffers it writes; numpy's loops release the GIL,
-    so the calls run side by side with the bits of one-at-a-time calls.
-    """
-    if len(items) < 2:
-        return list(map(fn, items))
-    # imported here: concurrent.futures loads logging, which no other command needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(_workers()) as pool:
-        return list(pool.map(fn, items))
-
-
 def _checked_ket(name: str, ket) -> np.ndarray:
     ket = np.asarray(ket, dtype=complex)
     if ket.shape != (2,):
@@ -278,6 +251,16 @@ def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray,
     return pos
 
 
+def _collide_in(buf, live: list[int], qubits, reservoir, angle: SwapAngle, floor: int = 0) -> None:
+    """Insert each of ``qubits`` in state ``reservoir`` into ``buf`` and collide it, in order.
+
+    ``buf`` holds row 0 of the whole state for the qubits above ``floor`` (see ``_insert_qubit``).
+    """
+    for k in qubits:
+        pos = _insert_qubit(buf, live, k, reservoir, k > floor)
+        apply_two_qubit(buf[: 2 ** len(live)], len(live), angle, 0, pos)
+
+
 def _checked_run(system, reservoir, n: int, order):
     """The checked kets and order of a run of ``n`` reservoir qubits within the qubit cap."""
     system = _checked_ket("system", system)
@@ -306,9 +289,7 @@ def _grow(buf, system, reservoir, n: int, angle: SwapAngle, order, steps: int) -
     for k in sorted(set(range(1, n + 1)).difference(order)):
         _insert_qubit(buf, live, k, reservoir)
     _insert_qubit(buf, live, 0, system)
-    for k in order[:steps]:
-        pos = _insert_qubit(buf, live, k, reservoir)
-        apply_two_qubit(buf[: 2 ** len(live)], len(live), angle, 0, pos)
+    _collide_in(buf, live, order[:steps], reservoir, angle)
 
 
 def run_pure(system, reservoir, n: int, angle: SwapAngle, order=None) -> CollisionState:
@@ -328,28 +309,21 @@ def init_pure(system, reservoir, n: int, angle: SwapAngle) -> CollisionState:
     return run_pure(system, reservoir, n, angle, order=[])
 
 
-def _part_bits(n: int, tail) -> tuple[int, list[int]]:
-    """``high``, the qubits 1..high above the reduction's blocks, and those that pick a part.
+def _tail_length(n: int, order) -> tuple[int, int, list[int]]:
+    """The m <= 8 with h <= 3 of least prefix plus part, ``high`` and the part's fixed qubits.
 
-    A part of the final state fixes the top non-tail qubits above the
-    blocks, as many as leave it ``_PART`` amplitudes.  It holds both values
-    of the h ``tail`` qubits above the blocks, so with 2**14-amplitude
-    blocks it takes 2**(15 + h) amplitudes if that is more.
+    Qubits 1..``high`` lie above the reduction's blocks.  A part of the
+    final state fixes every one of them but the h in the tail, the last m
+    qubits of ``order``, so with 2**14-amplitude blocks it holds 2**(15 + h)
+    amplitudes.
     """
     high = n + 1 - min(_BLOCK, 1 << n).bit_length()
-    free = [q for q in range(1, high + 1) if q not in tail]
-    return high, free[: max(0, n + 2 - _PART.bit_length())]
-
-
-def _tail_length(n: int, order, workers: int) -> tuple[int, int, list[int]]:
-    """The m <= 8 with h <= 3 of least prefix plus one part per worker, and its ``_part_bits``."""
     best = (np.inf,)
     for m in range(1, min(8, len(order)) + 1):
-        high, fixed = _part_bits(n, order[-m:])
-        if sum(q <= high for q in order[-m:]) > 3:
+        fixed = [q for q in range(1, high + 1) if q not in order[-m:]]
+        if high - len(fixed) > 3:
             break
-        best = min(best, ((1 << (n + 1 - m)) + workers * (1 << (n + 1 - len(fixed))), m,
-                          high, fixed))
+        best = min(best, ((1 << (n + 1 - m)) + (1 << (n + 1 - len(fixed))), m, high, fixed))
     return best[1:]
 
 
@@ -358,15 +332,13 @@ def _system_after_run(system, reservoir, n: int, angle: SwapAngle, order) -> np.
 
     The inputs must be checked and ``order`` nonempty.  Every qubit but the
     tail, the last m collided (``_tail_length``), grows in a prefix of
-    2**(n+1-m) amplitudes.  Each part of the final state (``_part_bits``)
-    starts as a slice of the prefix, and the tail is inserted and collided
-    in it in order, as in ``_grow``.  The parts run on at most
-    ``_PART_WORKERS`` threads, each in buffers of its own.  Each block's
-    terms go into a list by block index and are added in block order, so
-    the bits do not depend on the threads.
+    2**(n+1-m) amplitudes.  Each part of the final state starts as a slice
+    of the prefix in one part buffer, and the tail is inserted and collided
+    in it in order (``_collide_in``), one part after another.  Each block's
+    terms go into a list by block index and are added in block order, as
+    ``reduced_from_vector`` adds them.
     """
-    workers = min(_workers(), _PART_WORKERS)
-    m, high, fixed = _tail_length(n, order, workers)
+    m, high, fixed = _tail_length(n, order)
     prefix = np.empty(2 ** (n + 1 - m), dtype=complex)
     _grow(prefix, system, reservoir, n, angle, order, len(order) - m)
     tail, size = order[-m:], min(_BLOCK, 1 << n)
@@ -375,23 +347,16 @@ def _system_after_run(system, reservoir, n: int, angle: SwapAngle, order) -> np.
         [q - 1 for q in fixed] + [q - 1 for q in range(1, high + 1) if q not in fixed])
     index = index.reshape(1 << len(fixed), -1)
     src = prefix.reshape(2, len(index), -1)
+    buf = np.empty(2 * index.shape[1] * size, dtype=complex)
+    rows = np.empty((2, 2, size))
     terms = [None] * (1 << high)
-    workers = min(workers, len(index))
-
-    def run_parts(worker: int) -> None:
-        buf = np.empty(2 * index.shape[1] * size, dtype=complex)
-        rows = np.empty((2, 2, size))
-        for j in range(worker, len(index), workers):
-            np.copyto(buf[: 2 * src.shape[2]].reshape(2, -1), src[:, j])
-            live = [q for q in range(n + 1) if q not in tail and q not in fixed]
-            for k in tail:
-                # part 0 starts with row 0 of the state unless a fixed qubit lies past k
-                pos = _insert_qubit(buf, live, k, reservoir, j == 0 and k > max(fixed, default=0))
-                apply_two_qubit(buf[: 2 ** len(live)], len(live), angle, 0, pos)
-            for i, block in enumerate(index[j]):
-                terms[block] = _block_terms(buf.reshape(2, -1, size)[:, i], rows)
-
-    _pool_map(run_parts, range(workers))
+    for j in range(len(index)):
+        np.copyto(buf[: 2 * src.shape[2]].reshape(2, -1), src[:, j])
+        live = [q for q in range(n + 1) if q not in tail and q not in fixed]
+        # part 0 starts with row 0 of the state unless a fixed qubit lies past k
+        _collide_in(buf, live, tail, reservoir, angle, n if j else max(fixed, default=0))
+        for i, block in enumerate(index[j]):
+            terms[block] = _block_terms(buf.reshape(2, -1, size)[:, i], rows)
     return _summed(terms, 2)
 
 
@@ -407,8 +372,7 @@ def run_mixed_system(
     be pure.  For the system qubit alone, which is what the homogenizer
     delivers, no component holds a large vector: ``_system_after_run``
     streams the last collisions of each from a small prefix.  At 22 qubits
-    on two CPUs that is 0.25 to 8 MiB of prefix and a 2 or 4 MiB part per
-    worker.
+    that is 0.25 to 8 MiB of prefix and one part of 0.5 to 4 MiB.
     """
     vals, vecs = hermitian_eig(rho0.density())
     _, reservoir, checked = _checked_run(vecs[:, 0], reservoir, n, order)

@@ -7,16 +7,18 @@ system-reservoir value C_0k = 2 s c^(n+k-1) decays with every further
 collision n.  The CKW monogamy bound holds with equality throughout, and
 the total pairwise tangle approaches 2 under the best-homogenization
 schedule.  Everything here is either a numeric measure on simulator
-states or one of those closed forms, so each can check the other.
+states or one of those closed forms, so each can check the other.  The
+pair reductions own the package's one thread pool (``_pool_map``).
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
-from .collision import CollisionState, _pool_map
+from .collision import CollisionState
 from .homogenizer import SwapAngle
 from .linalg import SY, hermitian_eig, is_hermitian, psd_sqrt, tensor_product
 
@@ -28,6 +30,29 @@ _STATE_TOL = 1e-8
 # spin-flip eigenvalues below _ZERO_EIG are exact zeros, so concurrences below its root read 0.0
 _ZERO_EIG = 1e-14
 CONCURRENCE_FLOOR = math.sqrt(_ZERO_EIG)  # exactly 1e-7
+
+
+def _workers() -> int:
+    """The number of usable CPUs."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_map(fn, items) -> list:
+    """``list(map(fn, items))`` on one thread per usable CPU.
+
+    Each call must own the buffers it writes; numpy's loops release the GIL,
+    so the calls run side by side with the bits of one-at-a-time calls.
+    """
+    if len(items) < 2:
+        return list(map(fn, items))
+    # imported here: concurrent.futures loads logging, which no other command needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(_workers()) as pool:
+        return list(pool.map(fn, items))
 
 
 def concurrence(rho) -> float:

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from qhog.bloch import QubitState, bloch_from_ket
 from qhog.collision import (
     _BLOCK,
     ExcitationState,
-    _part_bits,
     _system_after_run,
     _tail_length,
     apply_two_qubit,
@@ -378,21 +376,21 @@ def test_run_mixed_diagonal_matches_closed_form():
 
 
 def _streamed_cases(rng):
-    """(n, order, log2 block, log2 part) cases of the streamed run.
+    """(n, order, log2 block) cases of the streamed run.
 
-    With the real 2**14-amplitude blocks and 2**17-amplitude parts: every
-    last qubit for n <= 6, partial orders included, then n = 14..18 with 0
-    to 3 of the last eight qubits above the blocks.  A part of that size
-    sums too many amplitudes for one amplitude's last bit to show in the
-    system's 2x2 state, so small blocks and parts then cut n = 5..9 into
-    many parts, where it does.
+    With the real 2**14-amplitude blocks: every last qubit for n <= 6,
+    partial orders included, then n = 14..18 with 0 to 3 of the last eight
+    qubits above the blocks.  A part of 2**15 amplitudes or more sums too
+    many amplitudes for one amplitude's last bit to show in the system's
+    2x2 state, so small blocks then cut n = 5..9 into many parts, where it
+    does.
     """
-    yield 1, [1], 14, 17
+    yield 1, [1], 14
     for n in range(2, 7):
         for last in range(1, n + 1):
             rest = [int(k) for k in rng.permutation([k for k in range(1, n + 1) if k != last])]
-            yield n, rest + [last], 14, 17
-            yield n, rest[: n // 2] + [last], 14, 17  # leaves the other qubits untouched
+            yield n, rest + [last], 14
+            yield n, rest[: n // 2] + [last], 14  # leaves the other qubits untouched
     for n, high_in_tail in ((14, 0), (15, 1), (16, 2), (16, 0), (17, 3), (17, 1), (18, 2),
                             (18, 3)):
         high = n - 14  # qubits 1..high pick the block
@@ -400,11 +398,11 @@ def _streamed_cases(rng):
         lows = [int(k) + high + 1 for k in rng.permutation(n - high)]
         tail = [int(k) for k in rng.permutation(tops[:high_in_tail] + lows[: 8 - high_in_tail])]
         rest = [int(k) for k in rng.permutation(tops[high_in_tail:] + lows[8 - high_in_tail:])]
-        yield n, rest[: len(rest) // 2 if n % 2 else None] + tail, 14, 17
+        yield n, rest[: len(rest) // 2 if n % 2 else None] + tail, 14
     for _ in range(40):
         n = int(rng.integers(5, 10))
         order = [int(k) + 1 for k in rng.permutation(n)]
-        yield n, order[int(rng.integers(0, 2)) * n // 3:], int(rng.integers(1, 4)), 3
+        yield n, order[int(rng.integers(0, 2)) * n // 3:], int(rng.integers(1, 4))
 
 
 def test_streamed_system_state_is_run_pure_bit_for_bit(monkeypatch):
@@ -412,45 +410,36 @@ def test_streamed_system_state_is_run_pure_bit_for_bit(monkeypatch):
     # them; numpy's complex multiply rounds an in-place product of one
     # amplitude without FMA, so a part built any other way than the
     # materialized state would move the last bits with complex kets.  Every
-    # m the chooser can pick is forced on it and runs on one worker and on
-    # three, with more threads than cores switching as often as the
-    # interpreter allows
+    # m the chooser can pick is forced on it, with the parts its blocks give
     rng = np.random.default_rng(20)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for i, (n, order, block, part) in enumerate(_streamed_cases(rng)):
-            monkeypatch.setattr(collision, "_BLOCK", 1 << block)
-            monkeypatch.setattr(collision, "_PART", 1 << part)
-            system, reservoir = _generic_ket(2 * i), _generic_ket(2 * i + 1)
-            if i % 5 == 0:  # and the |1> system against the |0> reservoir
-                system, reservoir = KET1, KET0
-            angle = SwapAngle(float(rng.uniform(0.1, 1.4)))
-            want = run_pure(system, reservoir, n, angle, order).reduced(0).view(np.uint64)
-            for m in range(1, min(8, len(order)) + 1):
-                workers = 1 + 2 * ((i + m) % 2)
-                monkeypatch.setattr(collision, "_workers", lambda: workers)
-                monkeypatch.setattr(collision, "_tail_length",
-                                    lambda n, order, workers: (m, *_part_bits(n, order[-m:])))
-                got = _system_after_run(system, reservoir, n, angle, order)
-                assert np.array_equal(got.view(np.uint64), want), (n, order, block, m, workers)
-    finally:
-        sys.setswitchinterval(interval)
+    for i, (n, order, block) in enumerate(_streamed_cases(rng)):
+        monkeypatch.setattr(collision, "_BLOCK", 1 << block)
+        system, reservoir = _generic_ket(2 * i), _generic_ket(2 * i + 1)
+        if i % 5 == 0:  # and the |1> system against the |0> reservoir
+            system, reservoir = KET1, KET0
+        angle = SwapAngle(float(rng.uniform(0.1, 1.4)))
+        want = run_pure(system, reservoir, n, angle, order).reduced(0).view(np.uint64)
+        high = n + 1 - min(1 << block, 1 << n).bit_length()
+        for m in range(1, min(8, len(order)) + 1):
+            fixed = [q for q in range(1, high + 1) if q not in order[-m:]]
+            monkeypatch.setattr(collision, "_tail_length", lambda n, order: (m, high, fixed))
+            got = _system_after_run(system, reservoir, n, angle, order)
+            assert np.array_equal(got.view(np.uint64), want), (n, order, block, m)
 
 
 def test_tail_length_holds_the_least():
-    # the prefix takes 2**(n+1-m) amplitudes and each worker's part 2**17,
-    # or 2**(15+h) with h <= 3 tail qubits above the blocks (qubits 1..7 at
-    # 22 qubits): with 7, 1, 2, 3 last, the run streams 3 collisions from
-    # 8 MiB of prefix into two 4 MiB parts
+    # the prefix takes 2**(n+1-m) amplitudes and the one part 2**(15+h),
+    # with h <= 3 tail qubits above the blocks (qubits 1..7 at 22 qubits):
+    # with 7, 1, 2, 3 last, the run streams 3 collisions from 8 MiB of
+    # prefix into one 4 MiB part
     low = list(range(8, 22))
-    m, high, fixed = _tail_length(21, low + [4, 5, 6, 7, 1, 2, 3], 2)
+    m, high, fixed = _tail_length(21, low + [4, 5, 6, 7, 1, 2, 3])
     assert (m, high, fixed) == (3, 7, [4, 5, 6, 7])
-    assert _tail_length(21, [4, 5, 6, 7, 1, 2, 3] + low, 2)[0] == 8
-    # the fourth tail qubit above the blocks would double the parts
-    assert _tail_length(21, low[:-2] + [7, 6, 5, 4, 1, 2, 21, 20], 2)[0] == 4
-    assert _tail_length(21, [1], 2)[0] == 1
-    assert _tail_length(3, [1, 2, 3], 4)[0] == 3  # one part: the whole final state
+    assert _tail_length(21, [4, 5, 6, 7, 1, 2, 3] + low)[0] == 8
+    # the fourth tail qubit above the blocks would double the part
+    assert _tail_length(21, low[:-2] + [7, 6, 5, 4, 1, 2, 21, 20])[0] == 4
+    assert _tail_length(21, [1])[0] == 1
+    assert _tail_length(3, [1, 2, 3])[0] == 3  # one part: the whole final state
 
 
 def test_excitation_initial_and_collisions():
