@@ -380,10 +380,10 @@ def _streamed_cases(rng):
 
     With the real 2**14-amplitude blocks: every last qubit for n <= 6,
     partial orders included, then n = 14..18 with 0 to 3 of the last eight
-    qubits above the blocks.  A part of 2**15 amplitudes or more sums too
-    many amplitudes for one amplitude's last bit to show in the system's
-    2x2 state, so small blocks then cut n = 5..9 into many parts, where it
-    does.
+    qubits above the blocks.  Such blocks leave a run of n <= 13 in one
+    part, and a larger part sums too many amplitudes for one amplitude's
+    last bit to show in the system's 2x2 state, so small blocks then cut
+    n = 5..9 into many parts, where it does.
     """
     yield 1, [1], 14
     for n in range(2, 7):
