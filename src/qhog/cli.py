@@ -9,8 +9,8 @@ States are given either as a ket keyword (zero, one, plus) or as three
 comma-separated Bloch components in the half-radius convention.  --delta
 is a target homogenization precision; it sets sin(eta) = sqrt(delta/2).
 This module parses every flag and formats every byte written; the library
-layers take and return numbers.  Data goes to --out or stdout; a one-line
-JSON summary goes to stderr.
+layers take and return numbers.  Data goes to --out, opened once, or stdout,
+in pieces of at most _DUMP_CHUNK rows; a one-line JSON summary goes to stderr.
 The JSON amplitude dump writes each run of amplitudes whose components
 are both +0.0 (all of them but N+1 in the |1>/|0> run's one-excitation
 sector) as one repeated constant row, and every other amplitude with
@@ -29,6 +29,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -92,16 +93,23 @@ def _resolve_angle(args) -> tuple[SwapAngle, HomogenizationBudget | None]:
     return SwapAngle(budget.eta_max), budget
 
 
-def _write(out: str | None, text: str, mode: str = "w") -> None:
-    """Write ``text`` to stdout or to the file ``out`` (``mode="a"`` appends)."""
+@contextmanager
+def _output(out: str | None):
+    """``sys.stdout``, or the file ``out`` opened once; an OSError on the file names it."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
-        with open(out, mode, encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            yield fh
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
+def _write(out: str | None, text: str) -> None:
+    """Write ``text`` to stdout or to the file ``out``."""
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _summary(payload: dict) -> None:
@@ -121,23 +129,21 @@ def _csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# amplitudes formatted per write of a streamed amplitude dump
-_DUMP_CHUNK = 1 << 16
+# rows formatted per piece of a streamed dump: amplitudes or trajectory records
+_DUMP_CHUNK = 1 << 12
 _AMPLITUDES_MARK = "@amplitudes@"
 
 
-def _write_amplitudes(out: str | None, vec: np.ndarray, head: str, rows, sep: str,
-                      tail: str) -> None:
-    """Write ``head``, the rows of ``vec`` joined by ``sep``, and ``tail``, one chunk per write.
+def _pieces(table: np.ndarray, head: str, rows, sep: str, tail: str):
+    """``head``, the rows of ``table`` joined by ``sep``, and ``tail``, as pieces to write.
 
-    ``rows(start, amps)`` formats the chunk ``amps = vec[start:start + _DUMP_CHUNK]`` as
+    ``rows(start, chunk)`` formats ``chunk = table[start:start + _DUMP_CHUNK]`` as
     pieces that ``sep`` joins: single rows, or runs of rows already joined by ``sep``.
     """
-    _write(out, head)
-    for start in range(0, vec.size, _DUMP_CHUNK):
-        text = sep.join(rows(start, vec[start:start + _DUMP_CHUNK]))
-        _write(out, text if start == 0 else sep + text, "a")
-    _write(out, tail, "a")
+    yield head
+    for start in range(0, len(table), _DUMP_CHUNK):
+        yield sep.join(rows(start, table[start:start + _DUMP_CHUNK]))
+        yield sep if start + _DUMP_CHUNK < len(table) else tail
 
 
 # the separator between two [re, im] rows of the JSON dump, and a row of two +0.0
@@ -167,8 +173,8 @@ def _csv_rows(start: int, amps: np.ndarray):
     return (f"{i},{z.real:.17g},{z.imag:.17g}" for i, z in enumerate(amps.tolist(), start))
 
 
-def _write_json_with_amplitudes(out: str | None, payload: dict, vec: np.ndarray) -> None:
-    """Write ``_dump_json(payload | {"amplitudes": [[re, im], ...]})`` chunk by chunk.
+def _json_with_amplitudes(payload: dict, vec: np.ndarray):
+    """``_dump_json(payload | {"amplitudes": [[re, im], ...]})`` in pieces (``_pieces``).
 
     The amplitude list is formatted here with ``float.__repr__`` and the
     indent-2 separators that ``json.dumps`` puts at that depth, so the
@@ -177,25 +183,26 @@ def _write_json_with_amplitudes(out: str | None, payload: dict, vec: np.ndarray)
     """
     head, tail = _dump_json({**payload, "amplitudes": _AMPLITUDES_MARK}).split(
         json.dumps(_AMPLITUDES_MARK))
-    _write_amplitudes(out, vec, head + "[\n    [\n      ", _json_rows, _JSON_SEP,
-                      "\n    ]\n  ]" + tail)
+    return _pieces(vec, head + "[\n    [\n      ", _json_rows, _JSON_SEP,
+                   "\n    ]\n  ]" + tail)
 
 
-def _trajectory_json(traj) -> str:
-    """``_dump_json`` of the trajectory's records, formatted one ``%`` template per record."""
+def _trajectory_json(traj):
+    """``_dump_json`` of the trajectory's records in pieces, one ``%`` template per record."""
     marks = {"n": "@", "D_sys": "@", "D_res": "@", "system": ["@"] * 3, "reservoir_out": ["@"] * 3}
     record = _dump_json([marks])[2:-3].replace('"@"', "%r")  # one record as laid out in the list
     cols = np.column_stack([traj.d_reservoir, traj.d_system, traj.reservoir_out, traj.system])
-    records = (record % (d_res, d_sys, n, *w) for n, (d_res, d_sys, *w) in enumerate(cols.tolist()))
-    return "[\n" + ",\n".join(records) + "\n]\n"
+    return _pieces(cols, "[\n", lambda i, rows: (
+        record % (d_res, d_sys, n, *w) for n, (d_res, d_sys, *w) in enumerate(rows.tolist(), i)),
+        ",\n", "\n]\n")
 
 
-def _trajectory_csv(traj) -> str:
-    """The trajectory's rows, one string each: no dict per row for up to 2^20 steps."""
-    rows = ["n,wx,wy,wz,txp,typ,tzp,D_sys,D_res"]
+def _trajectory_csv(traj):
+    """The trajectory's rows in pieces: no dict per row for up to 2^20 steps."""
     cols = np.column_stack([traj.system, traj.reservoir_out, traj.d_system, traj.d_reservoir])
-    rows += (f"{n}," + ",".join(f"{v:.17g}" for v in vals) for n, vals in enumerate(cols.tolist()))
-    return "\n".join(rows) + "\n"
+    return _pieces(cols, "n,wx,wy,wz,txp,typ,tzp,D_sys,D_res\n", lambda i, rows: (
+        f"{n}," + ",".join(f"{v:.17g}" for v in vals) for n, vals in enumerate(rows.tolist(), i)),
+        "\n", "\n")
 
 
 def cmd_homogenize(args) -> int:
@@ -212,7 +219,8 @@ def cmd_homogenize(args) -> int:
     rho0 = _parsed(parse_state, args, "system")
     xi = _parsed(parse_state, args, "reservoir")
     traj = run_trajectory(rho0, xi, angle, n)
-    _write(args.out, _trajectory_csv(traj) if args.format == "csv" else _trajectory_json(traj))
+    with _output(args.out) as fh:
+        fh.writelines((_trajectory_csv if args.format == "csv" else _trajectory_json)(traj))
     final_d = float(traj.d_system[-1])
     max_res = float(traj.d_reservoir[1:].max())
     # the budget covers a system on the reservoir's Bloch axis (the orthogonal
@@ -284,12 +292,12 @@ def cmd_simulate(args) -> int:
     system_bloch = list(QubitState.from_density(rho).w)
     payload = {"system_bloch": system_bloch, "num_qubits": args.n + 1, "eta": angle.eta,
                "log": order or list(range(1, args.n + 1))}
-    if args.format == "csv":
-        _write_amplitudes(args.out, state.vector, "basis,re,im\n", _csv_rows, "\n", "\n")
-    elif state is None:
+    if state is None:
         _write(args.out, _dump_json({**payload, "amplitudes": None}))
     else:
-        _write_json_with_amplitudes(args.out, payload, state.vector)
+        with _output(args.out) as fh:
+            fh.writelines(_json_with_amplitudes(payload, state.vector) if args.format == "json"
+                          else _pieces(state.vector, "basis,re,im\n", _csv_rows, "\n", "\n"))
     _summary({"command": "simulate", "ok": True, "n": args.n, "eta": angle.eta,
               "system_bloch": system_bloch})
     return 0

@@ -327,7 +327,7 @@ def _tail_length(n: int, order) -> tuple[int, int, list[int]]:
     return best[1:]
 
 
-def _system_after_run(system, reservoir, n: int, angle: SwapAngle, order) -> np.ndarray:
+def _system_after_run(system, reservoir, n: int, angle: SwapAngle, order, kept=None) -> np.ndarray:
     """``run_pure(system, reservoir, n, angle, order).reduced(0)``, bit for bit, from a prefix.
 
     The inputs must be checked and ``order`` nonempty.  Every qubit but the
@@ -336,10 +336,13 @@ def _system_after_run(system, reservoir, n: int, angle: SwapAngle, order) -> np.
     of the prefix in one part buffer, and the tail is inserted and collided
     in it in order (``_collide_in``), one part after another.  Each block's
     terms go into a list by block index and are added in block order, as
-    ``reduced_from_vector`` adds them.
+    ``reduced_from_vector`` adds them.  A list ``kept`` keeps the prefix for the next component.
     """
+    kept = [] if kept is None else kept
     m, high, fixed = _tail_length(n, order)
-    prefix = np.empty(2 ** (n + 1 - m), dtype=complex)
+    if not kept:
+        kept.append(np.empty(2 ** (n + 1 - m), dtype=complex))
+    prefix = kept[0]
     _grow(prefix, system, reservoir, n, angle, order, len(order) - m)
     tail, size = order[-m:], min(_BLOCK, 1 << n)
     # block index of (part, block within the part): qubit 1 is its top bit
@@ -377,12 +380,12 @@ def run_mixed_system(
     vals, vecs = hermitian_eig(rho0.density())
     _, reservoir, checked = _checked_run(vecs[:, 0], reservoir, n, order)
     system_only = list(np.atleast_1d(qubits)) == [0] and checked
-    out = None
+    out, kept = None, []  # both components grow in one prefix
     for i in range(2):
         weight = float(vals[i])
         if weight < 1e-14:
             continue
-        rho = (_system_after_run(vecs[:, i], reservoir, n, angle, checked) if system_only
+        rho = (_system_after_run(vecs[:, i], reservoir, n, angle, checked, kept) if system_only
                else run_pure(vecs[:, i], reservoir, n, angle, order).reduced(qubits))
         out = weight * rho if out is None else out + weight * rho
     return out

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -195,19 +196,48 @@ def test_simulate_json_amplitudes_match_json_dumps(capsys, tmp_path, monkeypatch
     assert path.read_text(encoding="utf-8") == want
 
 
-def test_homogenize_json_matches_json_dumps(capsys, tmp_path):
-    # the start carries exact -0.0 components and late distances print in exponent form
-    argv = ["homogenize", "--eta", "1.2", "--n", "60", "--system=-0.0,-0.3,-0.4",
-            "--reservoir", "0.1,-0.0,0.2", "--format", "json"]
-    traj = run_trajectory(parse_state("-0.0,-0.3,-0.4"), parse_state("0.1,-0.0,0.2"),
+_TRAJECTORY_ARGV = ["homogenize", "--eta", "1.2", "--n", "60", "--system=-0.0,-0.3,-0.4",
+                    "--reservoir", "0.1,-0.0,0.2"]
+
+
+def _trajectory_of_argv():
+    return run_trajectory(parse_state("-0.0,-0.3,-0.4"), parse_state("0.1,-0.0,0.2"),
                           SwapAngle(1.2), 60)
+
+
+def test_homogenize_json_matches_json_dumps(capsys, tmp_path, monkeypatch):
+    # the start carries exact -0.0 components and late distances print in exponent form
+    argv = [*_TRAJECTORY_ARGV, "--format", "json"]
     records = [{"n": st.n, "system": list(st.system.w), "reservoir_out": list(st.reservoir_out.w),
-                "D_sys": st.d_system, "D_res": st.d_reservoir} for st in traj.steps]
+                "D_sys": st.d_system, "D_res": st.d_reservoir} for st in _trajectory_of_argv()]
     want = json.dumps(records, indent=2, sort_keys=True) + "\n"
     assert "-0.0," in want and "e-" in want
+    for chunk in (None, 7):  # 7: the 61 records cross eight chunk edges
+        if chunk is not None:
+            monkeypatch.setattr("qhog.cli._DUMP_CHUNK", chunk)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == want, chunk
+        path = tmp_path / "traj.json"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text(encoding="utf-8") == want, chunk
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_homogenize_csv_matches_one_shot_rows(capsys, tmp_path, monkeypatch, chunk):
+    argv = [*_TRAJECTORY_ARGV, "--format", "csv"]
+    if chunk is not None:
+        monkeypatch.setattr("qhog.cli._DUMP_CHUNK", chunk)  # 61 rows in nine chunks
+    # the one-shot formula the streamed writer replaced
+    rows = ["n,wx,wy,wz,txp,typ,tzp,D_sys,D_res"]
+    for st in _trajectory_of_argv():
+        vals = [*st.system.w, *st.reservoir_out.w, st.d_system, st.d_reservoir]
+        rows.append(f"{st.n}," + ",".join(f"{v:.17g}" for v in vals))
+    want = "\n".join(rows) + "\n"
+    assert ",-0," in want and "e-" in want
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == want
-    path = tmp_path / "traj.json"
+    path = tmp_path / "traj.csv"
     code, out, _ = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and out == ""
     assert path.read_text(encoding="utf-8") == want
@@ -621,6 +651,50 @@ def test_mixed_system_run_streams_its_last_collisions():
     (code21, kib21), (code3, kib3) = [map(int, line.split()) for line in proc.stdout.splitlines()]
     assert code21 == code3 == 0
     assert (kib21 - kib3) / 1024 < 10
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("argv,n,bound_mib", [
+    # the 8 MiB vector of 2**19 amplitudes and one chunk of its 17 MB of text
+    ("simulate --delta 0.2 --n {} --format json --out {}", 18, 12),
+    # 2**17 steps: 8 MiB of states and distances, their 8 MiB of stacked
+    # columns, and one chunk of the 23 MB of records
+    ("homogenize --eta 0.1 --n {} --format json --out {}", 131072, 40),
+], ids=["simulate", "homogenize"])
+def test_bulk_output_is_written_in_bounded_pieces(tmp_path, argv, n, bound_mib):
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILDREN,
+                           argv.format(n, tmp_path / "big"), argv.format(3, tmp_path / "small")],
+                          capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (code_n, kib_n), (code3, kib3) = [map(int, line.split()) for line in proc.stdout.splitlines()]
+    assert code_n == code3 == 0
+    assert (kib_n - kib3) / 1024 < bound_mib
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="a FIFO, read by a thread until EOF")
+@pytest.mark.parametrize("argv", [
+    "simulate --eta 0.3 --n 17 --format json",
+    "simulate --eta 0.3 --n 17 --format csv",
+    "homogenize --eta 0.1 --n 20000 --format csv",
+])
+def test_out_to_a_fifo_writes_what_a_file_gets(tmp_path, argv):
+    # --out is opened once: a reader of a FIFO sees EOF only after the last piece
+    fifo, plain = tmp_path / "fifo", tmp_path / "plain"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for out in (fifo, plain):
+        proc = subprocess.run([sys.executable, "-m", "qhog", *argv.split(), "--out", str(out)],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [plain.read_bytes()]
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),

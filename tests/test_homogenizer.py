@@ -196,7 +196,7 @@ def test_trajectory_monotone_and_weights():
 
 def test_trajectory_csv_shape():
     traj = run_trajectory(QubitState([0, 0, -0.5]), QubitState([0, 0, 0.5]), SwapAngle(0.2), 3)
-    lines = _trajectory_csv(traj).strip().split("\n")
+    lines = "".join(_trajectory_csv(traj)).strip().split("\n")
     assert lines[0] == "n,wx,wy,wz,txp,typ,tzp,D_sys,D_res"
     assert len(lines) == 5
     assert lines[1].startswith("0,")
