@@ -545,6 +545,22 @@ _PINNED = [
       "21,7,20,8,16,2,6,4,5,1,13,19,14,12,17,18,15,10,11,9,3", "--format", "json"],
      {"": "81fc781eb008316cd4baeb58fa220d89c406bbf1d03679a17fae0af54e28b084",
       "stderr": "85f8ebedf6972973415c099a5d3756aeb1c2fc80162068f33635140f79a62a41"}),
+    # captured while _insert_qubit still multiplied a one-amplitude row 0 of the
+    # whole state in place: reservoir kets with a complex second component, in a
+    # pure and a mixed simulate and an entangle.  numpy's X86_V3 loops round
+    # these products with FMA, so these digests hold where they are dispatched
+    (["simulate", "--eta", "0.3", "--n", "6", "--system", "one", "--reservoir", "0,0.3,-0.4",
+      "--format", "csv"],
+     {"": "7a3bfd21fa62cf6c433b2af4b0073c4cbe7f6981fc4b370694e85ca3744d84ff",
+      "stderr": "04389c87035ded657e57e7ffa33ec2e6be14623665f564e473b45f7a06581577"}),
+    (["simulate", "--eta", "0.3", "--n", "16", "--system", "0.1,0.2,0.1", "--reservoir",
+      "0,0.3,-0.4", "--format", "json"],
+     {"": "c34307cf8d3bdca7ec18ed34283ba412b50fbbb64c649ca5f929339b1d30201e",
+      "stderr": "89b71145db74f81a16537a78d624d346a7c59974e401c87dcab0face91883fb1"}),
+    (["entangle", "--eta", "0.3", "--n", "8", "--system", "0,0.5,0", "--reservoir", "0.3,0.4,0",
+      "--format", "json"],
+     {"": "27b206c0a20353cce58a4531d113d2dfd9581144ebe179e095c82b5cda18bb0a",
+      "stderr": "eefe400bf5519923eca1a40c4fbf47a83f805ff764f9afab5e4eb3dca21d44ce"}),
 ]
 
 
