@@ -330,7 +330,8 @@ def cmd_entangle(args) -> int:
 
 
 # the largest --n of an exhaustive sweep: its N! (correct) or N N! (incorrect)
-# orders stay within 12! = 479,001,600, about a minute of leaves
+# orders stay within 12! = 479,001,600, about a minute of leaves; --sample
+# draws at most as many trials
 _MAX_EXHAUSTIVE_N = {"correct": 12, "incorrect": 11}
 
 
@@ -338,6 +339,8 @@ def cmd_safe(args) -> int:
     if args.sample is None and args.n > _MAX_EXHAUSTIVE_N[args.mode]:
         raise ValueError(f"--n {args.n}: the exhaustive {args.mode} sweep takes more than "
                          f"12! = {math.factorial(12)} orders; draw some of them with --sample")
+    if (args.sample or 0) > math.factorial(12):
+        raise ValueError(f"--sample {args.sample}: more than 12! = {math.factorial(12)} trials")
     angle, _ = _resolve_angle(args)
     if args.seed is not None and args.sample is None:
         raise ValueError("--seed needs --sample: the full sweep draws nothing")

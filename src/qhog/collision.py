@@ -85,7 +85,7 @@ def _blocks(shape, size):
             yield (slice(i, i + step),)
 
 
-def _quarters(vec: np.ndarray, num_qubits: int, keep) -> np.ndarray:
+def _quarters(vec: np.ndarray, keep) -> np.ndarray:
     """``vec`` viewed with the bits of the one or two qubits ``keep`` as leading axes.
 
     Entry [x] or [x, y] (in ``keep`` order) is the (A, B, C) view of the
@@ -111,7 +111,7 @@ def apply_two_qubit(
         raise ValueError(f"need two distinct qubits in 0..{num_qubits - 1}, got ({a}, {b})")
     if vec.shape != (2**num_qubits,) or not vec.flags.c_contiguous:
         raise ValueError(f"expected a contiguous vector of 2**{num_qubits} amplitudes")
-    (q00, q01), (q10, q11) = _quarters(vec, num_qubits, (a, b))
+    (q00, q01), (q10, q11) = _quarters(vec, (a, b))
     c = angle.c
     i_s = 1j * (-angle.s if inverse else angle.s)
     for idx in _blocks(q00.shape, _BLOCK):
@@ -138,7 +138,7 @@ def reduced_from_vector(vec: np.ndarray, num_qubits: int, keep) -> np.ndarray:
     bad = len(keep) not in (1, 2) or len(set(keep)) != len(keep)
     if bad or min(keep) < 0 or max(keep) >= num_qubits:
         raise ValueError(f"need one or two distinct qubits in 0..{num_qubits - 1}, got {keep}")
-    quarters = _quarters(vec, num_qubits, keep)
+    quarters = _quarters(vec, keep)
     d = 2 ** len(keep)
     rows = np.empty((d, 2, min(_BLOCK, vec.size // d)))
     return _summed([_block_terms(quarters[(slice(None),) * len(keep) + idx], rows)
@@ -218,8 +218,7 @@ class CollisionState:
         return reduced_from_vector(self.vector, self.num_qubits, np.atleast_1d(qubits))
 
 
-def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray,
-                  first: bool = True) -> int:
+def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray) -> int:
     """Add qubit ``k`` in state ``ket`` to the state of the ``live`` qubits, in place.
 
     ``buf[:2**len(live)]`` holds the state of the qubits in ``live``, kept in
@@ -231,9 +230,8 @@ def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray,
     state: halving chunks of rows, from the top down, never overwrite a row
     before it is read, and no second copy of the state is made.  numpy
     rounds an in-place product of one amplitude without FMA, unlike any
-    other product here, so a row 0 of one amplitude is multiplied in place
-    only if it is row 0 of the whole state (``first``); in a part of a
-    larger state it is read from a copy, as any other row is.
+    other product here, so a row 0 of one amplitude is always read from a
+    copy: the bits then do not depend on where the row lies in the state.
     """
     pos = sum(q < k for q in live)
     rows, low = 1 << pos, 1 << (len(live) - pos)
@@ -243,7 +241,7 @@ def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray,
     while top:
         bottom = top // 2
         # in row 0, the |1> half lies past the source and the |0> half overwrites it
-        old = src[bottom:top] if bottom or first or low > 1 else src[:1].copy()
+        old = src[bottom:top] if bottom or low > 1 else src[:1].copy()
         for bit in (1, 0):
             np.multiply(old, ket[bit], out=dst[bottom:top, bit])
         top = bottom
@@ -251,13 +249,10 @@ def _insert_qubit(buf: np.ndarray, live: list[int], k: int, ket: np.ndarray,
     return pos
 
 
-def _collide_in(buf, live: list[int], qubits, reservoir, angle: SwapAngle, floor: int = 0) -> None:
-    """Insert each of ``qubits`` in state ``reservoir`` into ``buf`` and collide it, in order.
-
-    ``buf`` holds row 0 of the whole state for the qubits above ``floor`` (see ``_insert_qubit``).
-    """
+def _collide_in(buf, live: list[int], qubits, reservoir, angle: SwapAngle) -> None:
+    """Insert each of ``qubits`` in state ``reservoir`` into ``buf`` and collide it, in order."""
     for k in qubits:
-        pos = _insert_qubit(buf, live, k, reservoir, k > floor)
+        pos = _insert_qubit(buf, live, k, reservoir)
         apply_two_qubit(buf[: 2 ** len(live)], len(live), angle, 0, pos)
 
 
@@ -327,40 +322,38 @@ def _tail_length(n: int, order) -> tuple[int, int, list[int]]:
     return best[1:]
 
 
-def _system_after_run(system, reservoir, n: int, angle: SwapAngle, order, kept=None) -> np.ndarray:
-    """``run_pure(system, reservoir, n, angle, order).reduced(0)``, bit for bit, from a prefix.
+def _system_states(systems, reservoir, n: int, angle: SwapAngle, order):
+    """Yield ``run_pure(system, reservoir, n, angle, order).reduced(0)`` of each of ``systems``.
 
-    The inputs must be checked and ``order`` nonempty.  Every qubit but the
-    tail, the last m collided (``_tail_length``), grows in a prefix of
-    2**(n+1-m) amplitudes.  Each part of the final state starts as a slice
-    of the prefix in one part buffer, and the tail is inserted and collided
-    in it in order (``_collide_in``), one part after another.  Each block's
-    terms go into a list by block index and are added in block order, as
-    ``reduced_from_vector`` adds them.  A list ``kept`` keeps the prefix for the next component.
+    Bit for bit.  The inputs must be checked and ``order`` nonempty.  Every
+    qubit but the tail, the last m collided (``_tail_length``), grows in one
+    prefix of 2**(n+1-m) amplitudes, for each system in turn.  Each part of
+    the final state starts as a slice of the prefix in one part buffer, and
+    the tail is inserted and collided in it in order (``_collide_in``), one
+    part after another.  Each block's terms go into a list by block index
+    and are added in block order, as ``reduced_from_vector`` adds them.
     """
-    kept = [] if kept is None else kept
     m, high, fixed = _tail_length(n, order)
-    if not kept:
-        kept.append(np.empty(2 ** (n + 1 - m), dtype=complex))
-    prefix = kept[0]
-    _grow(prefix, system, reservoir, n, angle, order, len(order) - m)
     tail, size = order[-m:], min(_BLOCK, 1 << n)
     # block index of (part, block within the part): qubit 1 is its top bit
     index = np.arange(1 << high).reshape((2,) * high).transpose(
         [q - 1 for q in fixed] + [q - 1 for q in range(1, high + 1) if q not in fixed])
     index = index.reshape(1 << len(fixed), -1)
+    prefix = np.empty(2 ** (n + 1 - m), dtype=complex)
     src = prefix.reshape(2, len(index), -1)
-    buf = np.empty(2 * index.shape[1] * size, dtype=complex)
-    rows = np.empty((2, 2, size))
-    terms = [None] * (1 << high)
-    for j in range(len(index)):
-        np.copyto(buf[: 2 * src.shape[2]].reshape(2, -1), src[:, j])
-        live = [q for q in range(n + 1) if q not in tail and q not in fixed]
-        # part 0 starts with row 0 of the state unless a fixed qubit lies past k
-        _collide_in(buf, live, tail, reservoir, angle, n if j else max(fixed, default=0))
-        for i, block in enumerate(index[j]):
-            terms[block] = _block_terms(buf.reshape(2, -1, size)[:, i], rows)
-    return _summed(terms, 2)
+    live = [q for q in range(n + 1) if q not in tail and q not in fixed]
+    for system in systems:
+        _grow(prefix, system, reservoir, n, angle, order, len(order) - m)
+        buf = np.empty(2 * index.shape[1] * size, dtype=complex)
+        rows = np.empty((2, 2, size))
+        terms = [None] * (1 << high)
+        for j in range(len(index)):
+            np.copyto(buf[: 2 * src.shape[2]].reshape(2, -1), src[:, j])
+            _collide_in(buf, list(live), tail, reservoir, angle)
+            for i, block in enumerate(index[j]):
+                terms[block] = _block_terms(buf.reshape(2, -1, size)[:, i], rows)
+        del buf, rows  # each system allocates its own part once the last one's is freed
+        yield _summed(terms, 2)
 
 
 def run_mixed_system(
@@ -373,20 +366,19 @@ def run_mixed_system(
     of the pure-component results.  Each eigenvector of the system state
     runs alone, and its vector is dropped once reduced.  The reservoir must
     be pure.  For the system qubit alone, which is what the homogenizer
-    delivers, no component holds a large vector: ``_system_after_run``
-    streams the last collisions of each from a small prefix.  At 22 qubits
-    that is 0.25 to 8 MiB of prefix and one part of 0.5 to 4 MiB.
+    delivers, no component holds a large vector: ``_system_states``
+    streams the last collisions of each from one small prefix.  At 22
+    qubits that is 0.25 to 8 MiB of prefix and one part of 0.5 to 4 MiB.
     """
     vals, vecs = hermitian_eig(rho0.density())
     _, reservoir, checked = _checked_run(vecs[:, 0], reservoir, n, order)
-    system_only = list(np.atleast_1d(qubits)) == [0] and checked
-    out, kept = None, []  # both components grow in one prefix
-    for i in range(2):
-        weight = float(vals[i])
-        if weight < 1e-14:
-            continue
-        rho = (_system_after_run(vecs[:, i], reservoir, n, angle, checked, kept) if system_only
-               else run_pure(vecs[:, i], reservoir, n, angle, order).reduced(qubits))
+    weights = [float(vals[i]) for i in range(2) if float(vals[i]) >= 1e-14]
+    kets = [vecs[:, i] for i in range(2) if float(vals[i]) >= 1e-14]
+    rhos = (_system_states(kets, reservoir, n, angle, checked)
+            if list(np.atleast_1d(qubits)) == [0] and checked
+            else (run_pure(ket, reservoir, n, angle, order).reduced(qubits) for ket in kets))
+    out = None
+    for weight, rho in zip(weights, rhos):
         out = weight * rho if out is None else out + weight * rho
     return out
 

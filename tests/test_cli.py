@@ -585,15 +585,19 @@ def test_outputs_pinned(capsys, tmp_path, argv, digests):
             assert hashlib.sha256(data).hexdigest() == digest, suffix
 
 
-def _avx512_groups() -> str:
-    """The AVX-512 groups that this numpy dispatches to and this CPU has.
+def _dispatched_groups(*groups) -> str:
+    """The groups of ``groups`` that this numpy dispatches to and this CPU has.
 
     Turning off only these keeps numpy from warning about the setting.
     """
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-    return " ".join(f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-                    if f in __cpu_dispatch__ and __cpu_features__.get(f))
+    return " ".join(f for f in groups if f in __cpu_dispatch__ and __cpu_features__.get(f))
+
+
+def _avx512_groups() -> str:
+    """The AVX-512 groups that this numpy dispatches to and this CPU has."""
+    return _dispatched_groups("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
@@ -739,6 +743,29 @@ def test_bloch_lengths_and_kets_do_not_depend_on_the_kernel():
         assert len(runs) == 1, argv
 
 
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the SIMD settings name x86-64 CPUs")
+def test_engine_bit_tests_hold_without_numpys_avx2_loops():
+    # numpy's X86_V3 complex multiply uses FMA where its baseline loop does
+    # not; the grown state must still equal the materialized run bit for bit,
+    # and the streamed system state the grown one's, on the loops without it
+    off = _dispatched_groups("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+    if not off.startswith("X86_V3"):
+        pytest.skip("this numpy dispatches no X86_V3 loops on this CPU")
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=off,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    tests = str(Path(__file__).with_name("test_collision.py"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", tests,
+         "-k", "test_streamed_system_state_is_run_pure_bit_for_bit"
+               " or test_run_pure_bitwise_matches_full_vector_run"],
+        capture_output=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stdout.decode()[-2000:]
+    summary = proc.stdout.splitlines()[-1]
+    assert summary.startswith(b"11 passed") and b"skipped" not in summary, summary
+
+
 def test_verify_subset(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--quick", "--checks",
@@ -837,6 +864,9 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
            f"error: --n {n}: the exhaustive {mode} sweep takes more than 12! = 479001600 "
            "orders; draw some of them with --sample\n")
           for n, mode in (("13", "correct"), ("12", "incorrect"))),
+        # a sampled sweep draws at most 12! trials; rejected before any draw
+        (("safe", "--delta", "0.1", "--n", "9", "--mode", "incorrect", "--sample", "479001601"),
+         "error: --sample 479001601: more than 12! = 479001600 trials\n"),
         (("homogenize", "--eta", "0.3", "--n", "2000000"),
          "error: --n must be at most 1048576, got 2000000\n"),
         # a budget of 336,224,849 steps, above the 2^20 of a trajectory
@@ -881,7 +911,8 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
 
 
 def test_exhaustive_sweep_bound_admits_its_largest_n(monkeypatch):
-    # 12! and 11 11! orders are within the bound: the sweep starts (and is stopped here)
+    # 12! and 11 11! orders, and 12! sampled trials, are within the bounds: the
+    # sweep starts (and is stopped here)
     class Started(Exception):
         pass
 
@@ -892,6 +923,8 @@ def test_exhaustive_sweep_bound_admits_its_largest_n(monkeypatch):
         monkeypatch.setattr(f"qhog.cli.sweep_{mode}", start)
         with pytest.raises(Started):
             main(["safe", "--eta", "0.3", "--n", str(n), "--mode", mode])
+    with pytest.raises(Started):
+        main(["safe", "--eta", "0.3", "--n", "9", "--mode", "incorrect", "--sample", "479001600"])
 
 
 @pytest.mark.parametrize("buffering", [{}, {"PYTHONUNBUFFERED": "1"}],

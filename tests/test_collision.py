@@ -8,7 +8,7 @@ from qhog.bloch import QubitState, bloch_from_ket
 from qhog.collision import (
     _BLOCK,
     ExcitationState,
-    _system_after_run,
+    _system_states,
     _tail_length,
     apply_two_qubit,
     excitation_forward_run,
@@ -407,10 +407,10 @@ def _streamed_cases(rng):
 
 def test_streamed_system_state_is_run_pure_bit_for_bit(monkeypatch):
     # the last m collisions are streamed part by part from a prefix without
-    # them; numpy's complex multiply rounds an in-place product of one
-    # amplitude without FMA, so a part built any other way than the
-    # materialized state would move the last bits with complex kets.  Every
-    # m the chooser can pick is forced on it, with the parts its blocks give
+    # them; _insert_qubit reads every one-amplitude row 0 from a copy, so a
+    # part's products round as the materialized state's do, complex kets
+    # included.  Every m the chooser can pick is forced on it, with the
+    # parts its blocks give
     rng = np.random.default_rng(20)
     for i, (n, order, block) in enumerate(_streamed_cases(rng)):
         monkeypatch.setattr(collision, "_BLOCK", 1 << block)
@@ -423,7 +423,7 @@ def test_streamed_system_state_is_run_pure_bit_for_bit(monkeypatch):
         for m in range(1, min(8, len(order)) + 1):
             fixed = [q for q in range(1, high + 1) if q not in order[-m:]]
             monkeypatch.setattr(collision, "_tail_length", lambda n, order: (m, high, fixed))
-            got = _system_after_run(system, reservoir, n, angle, order)
+            (got,) = _system_states([system], reservoir, n, angle, order)
             assert np.array_equal(got.view(np.uint64), want), (n, order, block, m)
 
 
