@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 _HOME = {
     "bloch": ("QubitState", "bloch_from_density", "density_from_bloch", "trace_distance"),
-    "collision": ("CollisionState", "ExcitationState", "excitation_collide", "init_pure",
-                  "run_mixed_system", "run_pure"),
+    "collision": ("CollisionState", "ExcitationState", "excitation_collide", "run_mixed_system",
+                  "run_pure"),
     "entanglement": ("ckw_sum", "closed_form_concurrences", "concurrence", "tangle_one_vs_rest",
                      "total_tangle_sum"),
     "homogenizer": ("HomogenizationBudget", "SwapAngle", "Trajectory", "budget_from_delta",

@@ -288,7 +288,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--system {args.system!r} is mixed: --format csv dumps pure amplitudes")
     else:
         state = None
-        rho = _sized(args, run_mixed_system, system_state, reservoir, args.n, angle, [0], order)
+        rho = _sized(args, run_mixed_system, system_state, reservoir, args.n, angle, order)
     system_bloch = list(QubitState.from_density(rho).w)
     payload = {"system_bloch": system_bloch, "num_qubits": args.n + 1, "eta": angle.eta,
                "log": order or list(range(1, args.n + 1))}
@@ -356,8 +356,11 @@ def cmd_safe(args) -> int:
         _write(args.out, _dump_json({**report, "chosen_system_mode": args.mode,
                                      "near_reversals": hist.near_reversals,
                                      "bins": [{"z_center": z, "count": k} for z, k in bins]}))
-    _summary({"command": "safe", "ok": True, "mode": args.mode, **report})
-    return 0
+    # an exhaustive sweep shows whether the safe held: one exact reversal for the
+    # right qubit, none for a wrong one; a sample cannot show it
+    ok = args.sample is not None or hist.exact_reversals == int(args.mode == "correct")
+    _summary({"command": "safe", "ok": ok, "mode": args.mode, **report})
+    return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:

@@ -12,11 +12,12 @@ state is (system + collided qubits) x xi^(uncollided).  ``run_pure``
 therefore grows the state in one buffer of 2**(N+1) amplitudes: it
 inserts each reservoir qubit just before that qubit's collision and
 collides on the live prefix only.  A full run costs about two passes
-over the final vector instead of one per collision.  For the system
-qubit of a mixed run, the only qubit a mixed ``qhog simulate`` reports,
-no large vector is held: the state without the last m collided qubits
-takes 2**(N+1-m) amplitudes, and parts of the final state are built from
-it one after another and reduced block by block as they come.
+over the final vector instead of one per collision.  A mixed system
+runs through ``run_mixed_system``, which returns the system qubit alone,
+the qubit the homogenizer delivers, and holds no large vector: the state
+without the last m collided qubits takes 2**(N+1-m) amplitudes, and
+parts of the final state are built from it one after another and
+reduced block by block as they come.
 
 For the |1> system / |0> reservoir initial condition the dynamics never
 leaves the one-excitation subspace, so the same evolution can be tracked
@@ -198,10 +199,6 @@ class CollisionState:
     def num_qubits(self) -> int:
         return num_qubits_of(self.vector.shape[0])
 
-    def collide(self, k: int) -> "CollisionState":
-        """Partial swap between the system and reservoir qubit k (1-based)."""
-        return self.run([k])
-
     def run(self, order=None) -> "CollisionState":
         """Collide with reservoir qubits in ``order`` (default 1..N).
 
@@ -299,11 +296,6 @@ def run_pure(system, reservoir, n: int, angle: SwapAngle, order=None) -> Collisi
     return CollisionState(buf, angle, order)
 
 
-def init_pure(system, reservoir, n: int, angle: SwapAngle) -> CollisionState:
-    """Product state (system ket) x (reservoir ket)^n with an empty log."""
-    return run_pure(system, reservoir, n, angle, order=[])
-
-
 def _tail_length(n: int, order) -> tuple[int, int, list[int]]:
     """The m <= 8 with h <= 3 of least prefix plus part, ``high`` and the part's fixed qubits.
 
@@ -314,8 +306,9 @@ def _tail_length(n: int, order) -> tuple[int, int, list[int]]:
     """
     high = n + 1 - min(_BLOCK, 1 << n).bit_length()
     best = (np.inf,)
-    for m in range(1, min(8, len(order)) + 1):
-        fixed = [q for q in range(1, high + 1) if q not in order[-m:]]
+    # m = 0 can tie with m = 1, so it is offered to the empty order only
+    for m in range(min(1, len(order)), min(8, len(order)) + 1):
+        fixed = [q for q in range(1, high + 1) if q not in order[len(order) - m:]]
         if high - len(fixed) > 3:
             break
         best = min(best, ((1 << (n + 1 - m)) + (1 << (n + 1 - len(fixed))), m, high, fixed))
@@ -325,16 +318,17 @@ def _tail_length(n: int, order) -> tuple[int, int, list[int]]:
 def _system_states(systems, reservoir, n: int, angle: SwapAngle, order):
     """Yield ``run_pure(system, reservoir, n, angle, order).reduced(0)`` of each of ``systems``.
 
-    Bit for bit.  The inputs must be checked and ``order`` nonempty.  Every
-    qubit but the tail, the last m collided (``_tail_length``), grows in one
-    prefix of 2**(n+1-m) amplitudes, for each system in turn.  Each part of
-    the final state starts as a slice of the prefix in one part buffer, and
-    the tail is inserted and collided in it in order (``_collide_in``), one
-    part after another.  Each block's terms go into a list by block index
-    and are added in block order, as ``reduced_from_vector`` adds them.
+    Bit for bit.  The inputs must be checked.  Every qubit but the tail,
+    the last m collided (``_tail_length``; none for the empty order), grows
+    in one prefix of 2**(n+1-m) amplitudes, for each system in turn.  Each
+    part of the final state starts as a slice of the prefix in one part
+    buffer, and the tail is inserted and collided in it in order
+    (``_collide_in``), one part after another.  Each block's terms go into
+    a list by block index and are added in block order, as
+    ``reduced_from_vector`` adds them.
     """
     m, high, fixed = _tail_length(n, order)
-    tail, size = order[-m:], min(_BLOCK, 1 << n)
+    tail, size = order[len(order) - m:], min(_BLOCK, 1 << n)
     # block index of (part, block within the part): qubit 1 is its top bit
     index = np.arange(1 << high).reshape((2,) * high).transpose(
         [q - 1 for q in fixed] + [q - 1 for q in range(1, high + 1) if q not in fixed])
@@ -357,28 +351,24 @@ def _system_states(systems, reservoir, n: int, angle: SwapAngle, order):
 
 
 def run_mixed_system(
-    rho0: QubitState, reservoir, n: int, angle: SwapAngle, qubits, order=None
+    rho0: QubitState, reservoir, n: int, angle: SwapAngle, order=None
 ) -> np.ndarray:
-    """Reduced density matrix of ``qubits`` after a run from a (possibly mixed) system state.
+    """The system qubit's 2x2 state after a run from a (possibly mixed) system state.
 
-    The global map is linear in the initial system operator, so any
-    reduced matrix of the true evolution is the same convex combination
-    of the pure-component results.  Each eigenvector of the system state
-    runs alone, and its vector is dropped once reduced.  The reservoir must
-    be pure.  For the system qubit alone, which is what the homogenizer
-    delivers, no component holds a large vector: ``_system_states``
-    streams the last collisions of each from one small prefix.  At 22
-    qubits that is 0.25 to 8 MiB of prefix and one part of 0.5 to 4 MiB.
+    The global map is linear in the initial system operator, so the
+    result is the same convex combination of the eigen-components' system
+    states.  The reservoir must be pure.  No component holds a large
+    vector: ``_system_states`` streams the last collisions of each from
+    one small prefix.  At 22 qubits that is 0.25 to 8 MiB of prefix and
+    one part of 0.5 to 4 MiB; the empty order's prefix is the whole
+    product state.
     """
     vals, vecs = hermitian_eig(rho0.density())
-    _, reservoir, checked = _checked_run(vecs[:, 0], reservoir, n, order)
+    _, reservoir, order = _checked_run(vecs[:, 0], reservoir, n, order)
     weights = [float(vals[i]) for i in range(2) if float(vals[i]) >= 1e-14]
     kets = [vecs[:, i] for i in range(2) if float(vals[i]) >= 1e-14]
-    rhos = (_system_states(kets, reservoir, n, angle, checked)
-            if list(np.atleast_1d(qubits)) == [0] and checked
-            else (run_pure(ket, reservoir, n, angle, order).reduced(qubits) for ket in kets))
     out = None
-    for weight, rho in zip(weights, rhos):
+    for weight, rho in zip(weights, _system_states(kets, reservoir, n, angle, order)):
         out = weight * rho if out is None else out + weight * rho
     return out
 

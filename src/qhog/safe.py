@@ -312,9 +312,10 @@ def sweep_correct(
 ) -> UnwindHistogram:
     """Unwind with the system qubit correctly identified, over all N! orders.
 
-    Exactly one order (the reverse of the forward run) recovers |1>,
-    i.e. z = -1.  ``sample`` switches to that many random orders instead
-    of the exhaustive sweep.
+    For 0 < eta < pi/2 exactly one order (the reverse of the forward run)
+    recovers |1>, i.e. z = -1; a full swap lets (N-1)! orders do it, and
+    eta = 0 every order.  ``sample`` switches to that many random orders
+    instead of the exhaustive sweep.
     """
     return _sweep("correct", n_reservoir, angle, sample, seed)
 
@@ -324,7 +325,8 @@ def sweep_incorrect(
 ) -> UnwindHistogram:
     """Unwind with each reservoir qubit wrongly taken to be the system.
 
-    Covers all N * N! combinations of wrong choice and order; none of
-    them reverses the homogenization.
+    Covers all N * N! combinations of wrong choice and order; for
+    0 < eta < pi/2 none of them reverses the homogenization, while a full
+    swap lets (N-1) (N-1)! of them do it.
     """
     return _sweep("incorrect", n_reservoir, angle, sample, seed)

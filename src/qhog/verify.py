@@ -366,7 +366,7 @@ def check_collision_sector(rng, quick) -> str:
 
     n = 9
     angle = hmg.SwapAngle.from_sin_squared(0.1)
-    forward = col.init_pure(KET_ONE, KET_ZERO, n, angle).run()
+    forward = col.run_pure(KET_ONE, KET_ZERO, n, angle)
     f = col.excitation_forward_run(n, angle).amplitudes
     orders = [[int(q) + 1 for q in rng.permutation(n)] for _ in range(200 if quick else 1000)]
     z_sector = safe.unwind_z_excitation(f, 0, orders, angle)
@@ -396,7 +396,10 @@ def check_collision_sector(rng, quick) -> str:
         if draw % 2:
             rho0 = random_state(rng)
             weight = 1.0 - float(np.vdot(xi, rho0.density() @ xi).real)
-            rhos = [col.run_mixed_system(rho0, xi, n, angle, pair, order) for pair in pairs]
+            # the eigen-mixture of pure runs is what a mixed system's run means
+            vals, vecs = la.hermitian_eig(rho0.density())
+            states = [col.run_pure(vecs[:, i], xi, n, angle, order) for i in range(2)]
+            rhos = [sum(v * s.reduced(pair) for v, s in zip(vals, states)) for pair in pairs]
         else:
             psi = _random_ket(rng)
             weight = 1.0 - abs(np.vdot(xi, psi)) ** 2
@@ -419,7 +422,7 @@ def check_collision_sector(rng, quick) -> str:
 def check_collision_uncollided_product(rng, quick) -> str:
     n = 6
     angle = _random_angle(rng)
-    state = col.init_pure(_random_ket(rng), _random_ket(rng), n, angle).run([1, 2])
+    state = col.run_pure(_random_ket(rng), _random_ket(rng), n, angle, []).run([1, 2])
     table = ent.concurrence_table(ent.pair_states(state))
     worst = max(c for (j, k), c in table.items() if j >= 3)
     _require(worst <= 1e-10, f"uncollided qubits entangled: concurrence {worst:.3e}")
@@ -433,7 +436,7 @@ def check_collision_grown_product(rng, quick) -> str:
         sys_ket, res_ket, angle = _random_ket(rng), _random_ket(rng), _random_angle(rng)
         order = [int(k) + 1 for k in rng.permutation(n)[: rng.integers(0, n + 1)]]
         grown = col.run_pure(sys_ket, res_ket, n, angle, order)
-        full = col.init_pure(sys_ket, res_ket, n, angle).run(order)
+        full = col.run_pure(sys_ket, res_ket, n, angle, []).run(order)
         _require(grown.log == order, f"run_pure logged {grown.log} for order {order}")
         worst = max(worst, float(np.max(np.abs(grown.vector - full.vector))))
     _require(worst <= 1e-12, f"grown state deviates from the full-vector run by {worst:.3e}")
@@ -517,7 +520,7 @@ def check_entanglement_local_unitary_invariance(rng, quick) -> str:
 def check_safe_reversibility(rng, quick) -> str:
     n = 6
     angle = _random_angle(rng)
-    initial = col.init_pure(_random_ket(rng), _random_ket(rng), n, angle)
+    initial = col.run_pure(_random_ket(rng), _random_ket(rng), n, angle, [])
     forward = initial.run()
     vec = forward.vector.copy()
     for k in range(n, 0, -1):

@@ -13,7 +13,7 @@ import pytest
 
 from qhog.bloch import QubitState, bloch_from_ket, random_state, trace_distance
 from qhog.cli import main
-from qhog.collision import init_pure
+from qhog.collision import run_pure
 from qhog.entanglement import (
     ckw_sum,
     closed_pair_concurrence,
@@ -125,9 +125,9 @@ def test_criterion_05_simulator_marginal_consistency():
             angle = random_angle(rng)
             rho0 = QubitState(bloch_from_ket(sys_ket))
             xi = QubitState(bloch_from_ket(res_ket))
-            state = init_pure(sys_ket, res_ket, n, angle)
+            state = run_pure(sys_ket, res_ket, n, angle, [])
             for step in range(1, n + 1):
-                state = state.collide(step)
+                state = state.run([step])
                 got = QubitState.from_density(state.reduced(0))
                 want = closed_form_system(rho0, xi, angle, step)
                 assert np.max(np.abs(got.w - want.w)) <= 1e-10
@@ -138,10 +138,10 @@ def test_criterion_06_concurrence_closed_forms():
         n = 10
         for s2 in (0.05, 0.1, 0.5):
             angle = SwapAngle.from_sin_squared(s2)
-            state = init_pure(KET1, KET0, n, angle)
+            state = run_pure(KET1, KET0, n, angle, [])
             for step in range(n + 1):
                 if step:
-                    state = state.collide(step)
+                    state = state.run([step])
                 for j in range(n + 1):
                     for k in range(j + 1, n + 1):
                         got = concurrence(state.reduced([j, k]))
@@ -153,10 +153,10 @@ def test_criterion_07_ckw_saturation():
     with criterion(7, "CKW saturation", 30.0):
         n = 10
         angle = SwapAngle.from_sin_squared(0.1)
-        state = init_pure(KET1, KET0, n, angle)
+        state = run_pure(KET1, KET0, n, angle, [])
         for step in range(n + 1):
             if step:
-                state = state.collide(step)
+                state = state.run([step])
             for j in range(n + 1):
                 gap = abs(ckw_sum(state, j) - tangle_one_vs_rest(state, j))
                 assert gap <= 1e-8, (step, j)

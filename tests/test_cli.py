@@ -624,6 +624,34 @@ def test_outputs_pinned_on_other_cpu_kernels(tmp_path, coretype, no_avx512):
                 assert hashlib.sha256(data).hexdigest() == digest, (argv, suffix)
 
 
+_FULL_SWAP = repr(math.pi / 2)
+
+
+# an exhaustive sweep holds the safe with exactly one exact reversal in correct
+# mode and none in incorrect mode; a full swap lets (N-1)! of N! orders and
+# (N-1) (N-1)! of N N! wrong choices reverse, and eta = 0 every order
+@pytest.mark.parametrize("argv,reversals,trials", [
+    *((["safe", "--eta", _FULL_SWAP, "--n", str(n), "--mode", "correct"],
+       math.factorial(n - 1), math.factorial(n)) for n in (3, 4, 5)),
+    (["safe", "--eta", _FULL_SWAP, "--n", "3", "--mode", "incorrect"], 4, 18),
+    (["safe", "--eta", _FULL_SWAP, "--n", "4", "--mode", "incorrect"], 18, 96),
+    (["safe", "--eta", "0", "--n", "5"], 120, 120),
+    *((argv, None, None) for argv, _ in _PINNED if argv[0] == "safe"),
+])
+def test_safe_ok_says_whether_the_safe_held(capsys, argv, reversals, trials):
+    code, out, err = run_cli(capsys, *argv)
+    summary = json.loads(err)
+    if reversals is None:  # the pinned runs at --delta 0.1 hold it, byte for byte
+        digests = next(d for a, d in _PINNED if a == argv)
+        assert code == 0 and summary["ok"] is True
+        assert _sha256(out) == digests[""]
+        assert "stderr" not in digests or _sha256(err) == digests["stderr"]
+    else:
+        assert code == 1 and summary["ok"] is False
+        assert (summary["exact_reversals"], summary["total_trials"]) == (reversals, trials)
+        assert out.startswith("z_center,count\n")
+
+
 # Starts each qhog child from a small process of its own and prints the
 # child's ru_maxrss (KiB): a child inherits the peak RSS of the process that
 # forks it, so children of the test process would all report at least its peak

@@ -67,7 +67,7 @@ def test_fuzzed_argv_exits_cleanly(command, mode, n, sample, seed, eta):
     if eta is not None:
         argv.append(f"--eta={eta!r}")
     code, payload, _ = _check_clean_exit(argv)
-    if command == "safe" and code == 0:
+    if command == "safe" and code != 2:  # a sweep that does not hold the safe prints it too
         assert payload["total_trials"] == sum(b["count"] for b in payload["bins"]) >= 1
 
 

@@ -12,7 +12,6 @@ from qhog.collision import (
     _tail_length,
     apply_two_qubit,
     excitation_forward_run,
-    init_pure,
     max_qubits,
     reduced_from_vector,
     run_mixed_system,
@@ -29,36 +28,36 @@ ANGLE = SwapAngle.from_sin_squared(0.1)
 
 
 def test_init_pure_basis_placement():
-    state = init_pure(KET1, KET0, 3, ANGLE)
+    state = run_pure(KET1, KET0, 3, ANGLE, [])
     # |1> on the system (qubit 0, most significant bit) -> index 0b1000
     expected = np.zeros(16, dtype=complex)
     expected[0b1000] = 1.0
     assert np.array_equal(state.vector, expected)
     assert state.log == []
 
-    state = init_pure(KET0, KET0, 2, ANGLE)
+    state = run_pure(KET0, KET0, 2, ANGLE, [])
     assert state.vector[0] == 1.0 and np.count_nonzero(state.vector) == 1
 
-    state = init_pure(PLUS, KET0, 1, ANGLE)
+    state = run_pure(PLUS, KET0, 1, ANGLE, [])
     assert state.vector[0b00] == pytest.approx(1 / math.sqrt(2))
     assert state.vector[0b10] == pytest.approx(1 / math.sqrt(2))
 
 
 def test_init_pure_validation():
     with pytest.raises(ValueError):
-        init_pure([1, 1], KET0, 2, ANGLE)  # not normalized
+        run_pure([1, 1], KET0, 2, ANGLE, [])  # not normalized
     with pytest.raises(ValueError):
-        init_pure(KET0, KET0, 0, ANGLE)
+        run_pure(KET0, KET0, 0, ANGLE, [])
     with pytest.raises(ValueError):
-        init_pure(KET0, KET0, 30, ANGLE)  # above the qubit cap
+        run_pure(KET0, KET0, 30, ANGLE, [])  # above the qubit cap
 
 
 def test_qubit_cap_env_override(monkeypatch):
     monkeypatch.setenv("QHOG_MAX_QUBITS", "5")
     assert max_qubits() == 5
     with pytest.raises(ValueError):
-        init_pure(KET0, KET0, 5, ANGLE)
-    init_pure(KET0, KET0, 4, ANGLE)
+        run_pure(KET0, KET0, 5, ANGLE, [])
+    run_pure(KET0, KET0, 4, ANGLE, [])
 
 
 def _generic_ket(seed):
@@ -86,7 +85,7 @@ def test_run_pure_bitwise_matches_full_vector_run(n, reservoir):
     for i, sys_ket in enumerate(systems):
         for label, order in _orders(n).items():
             got = run_pure(sys_ket, res_ket, n, ANGLE, order)
-            want = init_pure(sys_ket, res_ket, n, ANGLE).run(order)
+            want = run_pure(sys_ket, res_ket, n, ANGLE, []).run(order)
             assert got.log == want.log == (list(range(1, n + 1)) if order is None else order)
             assert np.array_equal(got.vector, want.vector), (i, label)
             if np.all(sys_ket.real >= 0):
@@ -95,7 +94,7 @@ def test_run_pure_bitwise_matches_full_vector_run(n, reservoir):
         reservoir_product = res_ket
         for _ in range(n - 1):
             reservoir_product = np.kron(reservoir_product, res_ket)
-        start = init_pure(sys_ket, res_ket, n, ANGLE).vector
+        start = run_pure(sys_ket, res_ket, n, ANGLE, []).vector
         assert np.array_equal(start.view(np.uint64),
                               np.kron(sys_ket, reservoir_product).view(np.uint64))
 
@@ -109,7 +108,7 @@ def test_run_pure_matches_full_vector_run_for_other_reservoirs():
             for sys_ket in (KET1, PLUS, _generic_ket(n)):
                 for order in _orders(n).values():
                     got = run_pure(sys_ket, res_ket, n, ANGLE, order)
-                    want = init_pure(sys_ket, res_ket, n, ANGLE).run(order)
+                    want = run_pure(sys_ket, res_ket, n, ANGLE, []).run(order)
                     assert np.max(np.abs(got.vector - want.vector)) <= 1e-15
 
 
@@ -177,11 +176,11 @@ def test_apply_two_qubit_validation():
 
 
 def test_run_and_collide_leave_the_input_unchanged():
-    state = init_pure(PLUS, np.array([0.6, 0.8j]), 5, ANGLE).collide(2)
+    state = run_pure(PLUS, np.array([0.6, 0.8j]), 5, ANGLE, []).run([2])
     before = state.vector.copy()
     chained = state
     for k in (3, 1, 5):
-        chained = chained.collide(k)
+        chained = chained.run([k])
     ran = state.run([3, 1, 5])
     assert np.array_equal(state.vector.view(np.uint64), before.view(np.uint64))
     assert state.log == [2]
@@ -192,26 +191,26 @@ def test_run_and_collide_leave_the_input_unchanged():
 
 
 def test_collide_identity_angle():
-    state = init_pure(PLUS, KET0, 2, SwapAngle(0.0))
-    after = state.collide(1)
+    state = run_pure(PLUS, KET0, 2, SwapAngle(0.0), [])
+    after = state.run([1])
     assert np.allclose(after.vector, state.vector, atol=1e-15)
     assert after.log == [1]
 
 
 def test_collide_full_swap():
-    state = init_pure(KET1, KET0, 1, SwapAngle(math.pi / 2))
-    after = state.collide(1)
+    state = run_pure(KET1, KET0, 1, SwapAngle(math.pi / 2), [])
+    after = state.run([1])
     expected = np.zeros(4, dtype=complex)
     expected[0b01] = 1j  # i |01>: swapped with a global phase i
     assert np.allclose(after.vector, expected, atol=1e-15)
 
 
 def test_collide_index_validation():
-    state = init_pure(KET1, KET0, 2, ANGLE)
+    state = run_pure(KET1, KET0, 2, ANGLE, [])
     with pytest.raises(ValueError):
-        state.collide(0)
+        state.run([0])
     with pytest.raises(ValueError):
-        state.collide(3)
+        state.run([3])
 
 
 def test_single_collision_matches_bloch_step():
@@ -222,7 +221,7 @@ def test_single_collision_matches_bloch_step():
         g = rng.normal(size=2) + 1j * rng.normal(size=2)
         res_ket = g / np.linalg.norm(g)
         angle = SwapAngle(rng.uniform(0, math.pi / 2))
-        state = init_pure(sys_ket, res_ket, 3, angle).collide(1)
+        state = run_pure(sys_ket, res_ket, 3, angle, []).run([1])
         got = QubitState.from_density(state.reduced(0))
         want = step_system(
             QubitState(bloch_from_ket(sys_ket)), QubitState(bloch_from_ket(res_ket)), angle
@@ -231,7 +230,7 @@ def test_single_collision_matches_bloch_step():
 
 
 def test_run_default_order_and_errors():
-    state = init_pure(KET1, KET0, 3, ANGLE)
+    state = run_pure(KET1, KET0, 3, ANGLE, [])
     full = state.run()
     assert full.log == [1, 2, 3]
     with pytest.raises(ValueError):
@@ -241,7 +240,7 @@ def test_run_default_order_and_errors():
 
 
 def test_reduced_before_any_collision():
-    state = init_pure(PLUS, KET0, 2, ANGLE)
+    state = run_pure(PLUS, KET0, 2, ANGLE, [])
     assert np.allclose(state.reduced(0), np.outer(PLUS, PLUS.conj()), atol=1e-12)
     assert np.allclose(state.reduced(1), np.outer(KET0, KET0.conj()), atol=1e-12)
 
@@ -280,11 +279,11 @@ def test_reduced_from_vector_matches_matrix_product():
 
 def test_reduced_system_matches_closed_form():
     n = 8
-    state = init_pure(KET1, KET0, n, ANGLE)
+    state = run_pure(KET1, KET0, n, ANGLE, [])
     rho0 = QubitState([0, 0, -0.5])
     xi = QubitState([0, 0, 0.5])
     for step in range(1, n + 1):
-        state = state.collide(step)
+        state = state.run([step])
         got = QubitState.from_density(state.reduced(0))
         want = closed_form_system(rho0, xi, ANGLE, step)
         assert np.allclose(got.w, want.w, atol=1e-10)
@@ -295,11 +294,11 @@ def test_pair_state_after_joint_interaction():
     # was untouched before its collision
     angle = SwapAngle.from_sin_squared(0.3)
     sys_ket = np.array([0.6, 0.8j], dtype=complex)
-    state = init_pure(sys_ket, KET0, 3, angle)
+    state = run_pure(sys_ket, KET0, 3, angle, [])
     p = partial_swap_unitary(angle)
     for k in (1, 2, 3):
         rho_before = state.reduced(0)
-        state = state.collide(k)
+        state = state.run([k])
         oracle = p @ tensor_product(rho_before, np.diag([1.0, 0.0])) @ p.conj().T
         assert np.allclose(state.reduced([0, k]), oracle, atol=1e-12)
 
@@ -310,10 +309,10 @@ def test_pair_state_entry_magnitudes():
     angle = SwapAngle.from_sin_squared(0.3)
     c, s = angle.c, angle.s
     sys_ket = np.array([0.6, 0.8j], dtype=complex)
-    state = init_pure(sys_ket, KET0, 2, angle).collide(1)
+    state = run_pure(sys_ket, KET0, 2, angle, []).run([1])
     rho1 = state.reduced(0)
     a, b = rho1[0, 0].real, abs(rho1[0, 1])
-    red = state.collide(2).reduced([0, 2])
+    red = state.run([2]).reduced([0, 2])
     expected_abs = np.array(
         [
             [a, s * b, c * b, 0],
@@ -333,7 +332,7 @@ def test_reservoir_marginals_match_trajectory():
     n = 6
     angle = SwapAngle.from_sin_squared(0.3)
     sys_ket = np.array([0.6, 0.8j], dtype=complex)
-    state = init_pure(sys_ket, PLUS, n, angle).run()
+    state = run_pure(sys_ket, PLUS, n, angle, []).run()
     traj = run_trajectory(
         QubitState(bloch_from_ket(sys_ket)), QubitState(bloch_from_ket(PLUS)), angle, n
     )
@@ -345,31 +344,31 @@ def test_reservoir_marginals_match_trajectory():
 def test_norm_conserved_along_run():
     rng = np.random.default_rng(37)
     g = rng.normal(size=2) + 1j * rng.normal(size=2)
-    state = init_pure(g / np.linalg.norm(g), PLUS, 6, SwapAngle(0.7))
+    state = run_pure(g / np.linalg.norm(g), PLUS, 6, SwapAngle(0.7), [])
     for k in (3, 1, 6, 2, 5, 4):
-        state = state.collide(k)
+        state = state.run([k])
         assert abs(np.sum(np.abs(state.vector) ** 2) - 1.0) <= 1e-12
 
 
 def test_run_mixed_pure_input_reduces_to_run():
-    state = init_pure(KET1, KET0, 4, ANGLE).run()
+    state = run_pure(KET1, KET0, 4, ANGLE, []).run()
     pure = QubitState([0, 0, -0.5])
-    assert np.allclose(run_mixed_system(pure, KET0, 4, ANGLE, 0), state.reduced(0), atol=1e-12)
-    assert np.allclose(run_mixed_system(pure, KET0, 4, ANGLE, [0, 2]), state.reduced([0, 2]),
-                       atol=1e-12)
+    assert np.allclose(run_mixed_system(pure, KET0, 4, ANGLE), state.reduced(0), atol=1e-12)
+    start = run_pure(KET1, KET0, 4, ANGLE, []).reduced(0)
+    assert np.allclose(run_mixed_system(pure, KET0, 4, ANGLE, []), start, atol=1e-12)
 
 
 def test_run_mixed_maximally_mixed_is_average():
-    mixed = run_mixed_system(QubitState([0, 0, 0]), KET0, 3, ANGLE, 0)
-    up = init_pure(KET0, KET0, 3, ANGLE).run()
-    down = init_pure(KET1, KET0, 3, ANGLE).run()
+    mixed = run_mixed_system(QubitState([0, 0, 0]), KET0, 3, ANGLE)
+    up = run_pure(KET0, KET0, 3, ANGLE, []).run()
+    down = run_pure(KET1, KET0, 3, ANGLE, []).run()
     average = 0.5 * up.reduced(0) + 0.5 * down.reduced(0)
     assert np.allclose(mixed, average, atol=1e-12)
 
 
 def test_run_mixed_diagonal_matches_closed_form():
     rho0 = QubitState([0, 0, -0.25])  # diag(1/4, 3/4)
-    mixed = run_mixed_system(rho0, KET0, 3, ANGLE, 0)
+    mixed = run_mixed_system(rho0, KET0, 3, ANGLE)
     got = QubitState.from_density(mixed)
     want = closed_form_system(rho0, QubitState([0, 0, 0.5]), ANGLE, 3)
     assert np.allclose(got.w, want.w, atol=1e-10)
@@ -383,7 +382,9 @@ def _streamed_cases(rng):
     qubits above the blocks.  Such blocks leave a run of n <= 13 in one
     part, and a larger part sums too many amplitudes for one amplitude's
     last bit to show in the system's 2x2 state, so small blocks then cut
-    n = 5..9 into many parts, where it does.
+    n = 5..9 into many parts, where it does.  Last, the empty order, whose
+    prefix is the whole product state: n = 1..16 with the real blocks and
+    n = 5..9 with small ones.
     """
     yield 1, [1], 14
     for n in range(2, 7):
@@ -403,6 +404,10 @@ def _streamed_cases(rng):
         n = int(rng.integers(5, 10))
         order = [int(k) + 1 for k in rng.permutation(n)]
         yield n, order[int(rng.integers(0, 2)) * n // 3:], int(rng.integers(1, 4))
+    for n in range(1, 17):
+        yield n, [], 14
+    for n in range(5, 10):
+        yield n, [], int(rng.integers(1, 4))
 
 
 def test_streamed_system_state_is_run_pure_bit_for_bit(monkeypatch):
@@ -420,8 +425,8 @@ def test_streamed_system_state_is_run_pure_bit_for_bit(monkeypatch):
         angle = SwapAngle(float(rng.uniform(0.1, 1.4)))
         want = run_pure(system, reservoir, n, angle, order).reduced(0).view(np.uint64)
         high = n + 1 - min(1 << block, 1 << n).bit_length()
-        for m in range(1, min(8, len(order)) + 1):
-            fixed = [q for q in range(1, high + 1) if q not in order[-m:]]
+        for m in range(min(1, len(order)), min(8, len(order)) + 1):
+            fixed = [q for q in range(1, high + 1) if q not in order[len(order) - m:]]
             monkeypatch.setattr(collision, "_tail_length", lambda n, order: (m, high, fixed))
             (got,) = _system_states([system], reservoir, n, angle, order)
             assert np.array_equal(got.view(np.uint64), want), (n, order, block, m)
@@ -439,6 +444,8 @@ def test_tail_length_holds_the_least():
     # the fourth tail qubit above the blocks would double the part
     assert _tail_length(21, low[:-2] + [7, 6, 5, 4, 1, 2, 21, 20])[0] == 4
     assert _tail_length(21, [1])[0] == 1
+    assert _tail_length(15, [1])[0] == 1  # m = 0 would hold as much
+    assert all(_tail_length(n, [])[0] == 0 for n in range(1, 22))  # the whole product state
     assert _tail_length(3, [1, 2, 3])[0] == 3  # one part: the whole final state
 
 
@@ -457,9 +464,9 @@ def test_excitation_initial_and_collisions():
 def test_excitation_matches_full_vector():
     n, order = 7, [3, 7, 1, 5]
     one_hot = [1 << (n - j) for j in range(n + 1)]
-    state = init_pure(KET1, KET0, n, ANGLE)
+    state = run_pure(KET1, KET0, n, ANGLE, [])
     for step, k in enumerate(order, 1):
-        state = state.collide(k)
+        state = state.run([k])
         es = excitation_forward_run(n, ANGLE, order[:step])
         assert np.allclose(state.vector[one_hot], es.amplitudes, atol=1e-12)
         rest = state.vector.copy()

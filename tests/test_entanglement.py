@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qhog.cli import _csv
-from qhog.collision import init_pure, reduced_from_vector, run_pure
+from qhog.collision import reduced_from_vector, run_pure
 from qhog.entanglement import (
     SIGMA_YY,
     ckw_sum,
@@ -97,16 +97,16 @@ def test_pair_concurrence_after_joint_interaction():
     # reservoir state; holds for every collision count
     angle = SwapAngle.from_sin_squared(0.3)
     sys_ket = np.array([0.6, 0.8j], dtype=complex)
-    state = init_pure(sys_ket, KET0, 4, angle)
+    state = run_pure(sys_ket, KET0, 4, angle, [])
     for k in range(1, 5):
         a_prev = state.reduced(0)[0, 0].real
-        state = state.collide(k)
+        state = state.run([k])
         got = concurrence(state.reduced([0, k]))
         assert got == pytest.approx(2 * angle.c * angle.s * (1 - a_prev), abs=1e-10)
 
 
 def test_tangle_zero_before_interaction():
-    state = init_pure(KET1, KET0, 4, SwapAngle.from_sin_squared(0.2))
+    state = run_pure(KET1, KET0, 4, SwapAngle.from_sin_squared(0.2), [])
     for j in range(5):
         assert tangle_one_vs_rest(state, j) == pytest.approx(0.0, abs=1e-12)
 
@@ -115,9 +115,9 @@ def test_tangle_closed_forms_along_run():
     n = 6
     angle = SwapAngle.from_sin_squared(0.15)
     c, s = angle.c, angle.s
-    state = init_pure(KET1, KET0, n, angle)
+    state = run_pure(KET1, KET0, n, angle, [])
     for step in range(1, n + 1):
-        state = state.collide(step)
+        state = state.run([step])
         # system vs rest: 4 c^(2n) (1 - c^(2n))
         want0 = 4 * c ** (2 * step) * (1 - c ** (2 * step))
         assert tangle_one_vs_rest(state, 0) == pytest.approx(want0, abs=1e-10)
@@ -132,14 +132,14 @@ def test_tangle_closed_forms_along_run():
 def test_ckw_sum_saturates_tangle():
     n = 6
     angle = SwapAngle.from_sin_squared(0.1)
-    state = init_pure(KET1, KET0, n, angle).run()
+    state = run_pure(KET1, KET0, n, angle, []).run()
     for j in range(n + 1):
         assert ckw_sum(state, j) == pytest.approx(tangle_one_vs_rest(state, j), abs=1e-8)
     assert ckw_sum(state, 0) == pytest.approx(closed_tangle(0, n, angle), abs=1e-8)
 
 
 def test_ckw_sum_uncollided_qubit():
-    state = init_pure(KET1, KET0, 5, SwapAngle.from_sin_squared(0.2)).run([1, 2])
+    state = run_pure(KET1, KET0, 5, SwapAngle.from_sin_squared(0.2), []).run([1, 2])
     assert ckw_sum(state, 4) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -160,10 +160,10 @@ def test_closed_form_table_matches_simulator():
     n = 6
     for s2 in (0.1, 0.5):
         angle = SwapAngle.from_sin_squared(s2)
-        state = init_pure(KET1, KET0, n, angle)
+        state = run_pure(KET1, KET0, n, angle, [])
         for step in range(n + 1):
             if step:
-                state = state.collide(step)
+                state = state.run([step])
             table = closed_form_concurrences(step, n, angle)
             numeric = concurrence_table(pair_states(state))
             for pair in sorted(table):
@@ -203,7 +203,7 @@ def test_total_tangle_matches_pairwise_sum():
 def test_total_tangle_matches_simulator():
     n = 10
     angle = SwapAngle.from_sin_squared(0.05)
-    state = init_pure(KET1, KET0, n, angle).run()
+    state = run_pure(KET1, KET0, n, angle, []).run()
     numeric = sum(v**2 for v in concurrence_table(pair_states(state)).values())
     assert total_tangle_sum(n, angle) == pytest.approx(numeric, abs=1e-9)
 
@@ -240,7 +240,7 @@ def test_local_unitary_invariance():
 def test_table_and_record_serialization():
     n = 3
     angle = SwapAngle.from_sin_squared(0.1)
-    state = init_pure(KET1, KET0, n, angle).run()
+    state = run_pure(KET1, KET0, n, angle, []).run()
     pairs, tangles = entanglement_tables(state, KET1, KET0)
     assert json.loads(json.dumps([pairs, tangles])) == [pairs, tangles]
     lines = _csv(pairs).strip().split("\n")
@@ -265,7 +265,7 @@ def test_table_and_record_serialization():
         assert s <= tau + 1e-9
 
     # out of collision order the rows carry no closed forms
-    scrambled = init_pure(KET1, KET0, n, angle).run([2, 1, 3])
+    scrambled = run_pure(KET1, KET0, n, angle, []).run([2, 1, 3])
     pairs, tangles = entanglement_tables(scrambled, KET1, KET0)
     assert _csv(pairs).split("\n")[0] == "j,k,C"
     assert _csv(tangles).split("\n")[0] == "j,tau,S"
@@ -276,7 +276,7 @@ def test_pair_path_equals_per_call_definitions():
     # per ordered pair, each CKW term measured anew
     plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
     reservoir = np.array([0.6, 0.8j], dtype=complex)
-    state = init_pure(plus, reservoir, 6, SwapAngle(0.7)).run([4, 2, 6, 1, 5, 3])
+    state = run_pure(plus, reservoir, 6, SwapAngle(0.7), []).run([4, 2, 6, 1, 5, 3])
     n = state.num_qubits
     old_table = {(j, k): concurrence(state.reduced([j, k]))
                  for j in range(n) for k in range(j + 1, n)}
@@ -303,7 +303,7 @@ def test_pair_path_reduces_each_pair_once(monkeypatch):
         calls.append(tuple(keep))
         return reduce(vec, num_qubits, keep)
 
-    state = init_pure(KET1, KET0, 5, SwapAngle(0.4)).run()
+    state = run_pure(KET1, KET0, 5, SwapAngle(0.4), []).run()
     monkeypatch.setattr(col, "reduced_from_vector", counted)
     entanglement_tables(state, KET1, KET0)
     pairs = [q for q in calls if len(q) == 2]

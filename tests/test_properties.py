@@ -56,10 +56,10 @@ KET_ONE = np.array([0.0, 1.0], dtype=complex)
 def _sector_conservation(rng):
     n = 6
     angle = SwapAngle(rng.uniform(0.0, math.pi / 2))
-    state = col.init_pure(KET_ONE, KET_ZERO, n, angle)
+    state = col.run_pure(KET_ONE, KET_ZERO, n, angle, [])
     one_hot = [1 << (n - j) for j in range(n + 1)]
     for k in range(1, n + 1):
-        state = state.collide(k)
+        state = state.run([k])
         rest = state.vector.copy()
         rest[one_hot] = 0.0
         assert not rest.any(), f"weight outside the sector after collision {k}"
@@ -68,9 +68,9 @@ def _sector_conservation(rng):
 def _fast_path(rng):
     n = 12
     angle = SwapAngle(rng.uniform(0.0, math.pi / 2))
-    state = col.init_pure(KET_ONE, KET_ZERO, n, angle)
+    state = col.run_pure(KET_ONE, KET_ZERO, n, angle, [])
     for k in range(1, n + 1):
-        state = state.collide(k)
+        state = state.run([k])
         f = col.excitation_forward_run(n, angle, range(1, k + 1)).amplitudes
         for j in range(n + 1):
             rho = state.reduced(j)
@@ -81,7 +81,7 @@ def _fast_path(rng):
 def _sector_diagonality(rng):
     n = 6
     angle = SwapAngle.from_sin_squared(0.1)
-    forward = col.init_pure(KET_ONE, KET_ZERO, n, angle).run()
+    forward = col.run_pure(KET_ONE, KET_ZERO, n, angle, []).run()
     for _ in range(10):
         order = [int(q) + 1 for q in rng.permutation(n)]
         z = safe.unwind(forward, 0, order)
@@ -96,7 +96,7 @@ def _sector_diagonality(rng):
 def _fast_path_spot(rng):
     n = 9
     angle = SwapAngle.from_sin_squared(0.1)
-    forward = col.init_pure(KET_ONE, KET_ZERO, n, angle).run()
+    forward = col.run_pure(KET_ONE, KET_ZERO, n, angle, []).run()
     f = col.excitation_forward_run(n, angle).amplitudes
     orders = [[int(q) + 1 for q in rng.permutation(n)] for _ in range(1000)]
     for order, z in zip(orders, safe.unwind_z_excitation(f, 0, orders, angle)):

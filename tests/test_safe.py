@@ -7,7 +7,7 @@ import pytest
 
 from qhog import safe
 from qhog.cli import main
-from qhog.collision import excitation_forward_run, init_pure
+from qhog.collision import excitation_forward_run, run_pure
 from qhog.homogenizer import SwapAngle, budget_from_delta
 from qhog.safe import (
     NUM_BINS,
@@ -65,20 +65,20 @@ def test_bin_index_pinned():
 
 def test_unwind_exact_reverse_recovers_input():
     n = 6
-    initial = init_pure(KET1, KET0, n, ANGLE)
+    initial = run_pure(KET1, KET0, n, ANGLE, [])
     forward = initial.run()
     assert unwind(forward, 0, range(n, 0, -1)) == pytest.approx(-1.0, abs=1e-9)
     assert forward.log == list(range(1, n + 1))  # input untouched
 
 
 def test_unwind_single_reservoir_recovers_both():
-    initial = init_pure(KET1, KET0, 1, ANGLE)
+    initial = run_pure(KET1, KET0, 1, ANGLE, [])
     forward = initial.run()
     assert unwind(forward, 0, [1]) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_unwind_validates_order():
-    forward = init_pure(KET1, KET0, 3, ANGLE).run()
+    forward = run_pure(KET1, KET0, 3, ANGLE, []).run()
     with pytest.raises(ValueError):
         unwind(forward, 0, [1, 2])  # missing an index
     with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ def test_unwind_validates_order():
 def test_identity_order_z_frozen():
     # value computed independently by the full-vector replay and the
     # excitation-sector replay; frozen here
-    forward = init_pure(KET1, KET0, 9, ANGLE).run()
+    forward = run_pure(KET1, KET0, 9, ANGLE, []).run()
     z = unwind(forward, 0, range(1, 10))
     assert z == pytest.approx(0.61646275354907, abs=1e-11)
     (fast,) = unwind_z_excitation(
@@ -187,7 +187,7 @@ def test_canonical_histograms_pinned():
 def test_enumerate_full_vector_spot_check():
     n = 6
     angle = SwapAngle.from_sin_squared(0.3)
-    forward_full = init_pure(KET1, KET0, n, angle).run()
+    forward_full = run_pure(KET1, KET0, n, angle, []).run()
     amps = excitation_forward_run(n, angle).amplitudes
     rng = np.random.default_rng(31)
     orders = [[int(q) + 1 for q in rng.permutation(n)] for _ in range(25)]
