@@ -135,9 +135,3 @@ def ket_from_bloch(w) -> np.ndarray:
     phi = math.atan2(y / r, x / r)
     return np.array([math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2)])
 
-
-def bloch_from_ket(ket) -> np.ndarray:
-    ket = np.asarray(ket, dtype=complex)
-    if ket.shape != (2,):
-        raise ValueError("ket must have two components")
-    return bloch_from_density(np.outer(ket, ket.conj()))

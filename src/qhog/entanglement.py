@@ -46,8 +46,6 @@ def _pool_map(fn, items) -> list:
     Each call must own the buffers it writes; numpy's loops release the GIL,
     so the calls run side by side with the bits of one-at-a-time calls.
     """
-    if len(items) < 2:
-        return list(map(fn, items))
     # imported here: concurrent.futures loads logging, which no other command needs
     from concurrent.futures import ThreadPoolExecutor
 

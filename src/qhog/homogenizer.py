@@ -99,7 +99,7 @@ def step_reservoir(rho: QubitState, xi: QubitState, angle: SwapAngle) -> QubitSt
 
     P commutes with SWAP, so this is the system step with the roles exchanged.
     """
-    return QubitState(_step(xi.w.tolist(), rho.w.tolist(), *_weights(angle)))
+    return step_system(xi, rho, angle)
 
 
 def superoperator(xi: QubitState, angle: SwapAngle) -> np.ndarray:
@@ -146,12 +146,6 @@ class Trajectory:
     reservoir_out: np.ndarray
     d_system: np.ndarray
     d_reservoir: np.ndarray
-
-    def __len__(self):
-        return len(self.d_system)
-
-    def __iter__(self):
-        return iter(self.steps)
 
     @cached_property
     def steps(self) -> list[TrajectoryStep]:

@@ -2,11 +2,13 @@
 
 After homogenizing |1> against nine |0> reservoir qubits, applying the
 inverse partial swap in the exact reverse order restores the original
-state; any other order does not.  This module replays every possible
-unwinding order, reads off the sigma_z parameter z of the qubit guessed
-to be the system (z = -1 means perfect recovery of |1>), and bins the
-results into a fixed 21-bin histogram over [-1, 1].  A sweep returns the
-counts and trial totals only; ``qhog.cli`` writes them as CSV or JSON.
+state.  For 0 < eta < pi/2 no other order does; a full swap lets (N-1)!
+of the N! orders do it, and eta = 0 every order.  This module replays
+every possible unwinding order, reads off the sigma_z parameter z of the
+qubit guessed to be the system (z = -1 means perfect recovery of |1>),
+and bins the results into a fixed 21-bin histogram over [-1, 1].  A sweep
+returns the counts and trial totals only; ``qhog.cli`` writes them as CSV
+or JSON.
 
 The sweeps run in the one-excitation sector.  With a unit phase per
 inverse collision divided out, unwinding the chosen qubit j against slot
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import CollisionState, apply_two_qubit, excitation_forward_run
+from .collision import CollisionState, apply_two_qubit, excitation_forward_run, reduced_from_vector
 from .homogenizer import SwapAngle
 
 EXACT_REVERSAL_TOL = 1e-9
@@ -95,7 +97,7 @@ def unwind(state: CollisionState, chosen_system: int, order) -> float:
     vec = state.vector.copy()
     for q in order:
         apply_two_qubit(vec, n, state.angle, chosen_system, q, inverse=True)
-    rho = CollisionState(vec, state.angle, []).reduced(chosen_system)
+    rho = reduced_from_vector(vec, n, [chosen_system])
     return float((rho[0, 0] - rho[1, 1]).real)
 
 

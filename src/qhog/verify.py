@@ -12,7 +12,8 @@ The stepwise suites check the code the CLI runs: their states come from
 from ``entanglement.pair_states``, ``concurrence_table`` and
 ``entanglement_tables``, and their iterates from ``homogenizer.run_trajectory``.
 ``collision.grown_product`` ties ``run_pure`` to the reference engine,
-``CollisionState.run``.
+``CollisionState.run``, and ``collision.marginal_consistency`` runs a mixed
+``simulate``'s ``collision.run_mixed_system`` too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from . import linalg as la
 from . import safe
 from .bloch import (
     QubitState,
-    bloch_from_ket,
     random_pure_state,
     random_state,
     trace_distance,
@@ -329,12 +329,15 @@ def check_collision_marginal_consistency(rng, quick) -> str:
     for _ in range(2 if quick else 3):
         sys_ket, res_ket = _random_ket(rng), _random_ket(rng)
         angle = _random_angle(rng)
-        rho0 = QubitState(bloch_from_ket(sys_ket))
-        xi = QubitState(bloch_from_ket(res_ket))
-        for step, state in enumerate(_prefix_runs(sys_ket, res_ket, n, angle)[1:], 1):
-            got = QubitState.from_density(state.reduced(0))
-            want = hmg.closed_form_system(rho0, xi, angle, step)
-            worst = max(worst, float(np.max(np.abs(got.w - want.w))))
+        rho0, xi = (QubitState.from_density(np.outer(k, k.conj())) for k in (sys_ket, res_ket))
+        runs = [(state.reduced(0), rho0, step)
+                for step, state in enumerate(_prefix_runs(sys_ket, res_ket, n, angle)[1:], 1)]
+        # a mixed simulate's path: two qubits above the blocks, a random partial order
+        mixed, order = random_state(rng), rng.permutation(16)[: rng.integers(1, 17)] + 1
+        runs.append((col.run_mixed_system(mixed, res_ket, 16, angle, order), mixed, len(order)))
+        for rho, start, step in runs:
+            want = hmg.closed_form_system(start, xi, angle, step)
+            worst = max(worst, float(np.max(np.abs(QubitState.from_density(rho).w - want.w))))
     _require(worst <= 1e-10, f"simulator marginal deviates from closed form by {worst:.3e}")
     return f"max marginal deviation {worst:.2e}"
 

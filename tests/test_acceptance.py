@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qhog.bloch import QubitState, bloch_from_ket, random_state, trace_distance
+from qhog.bloch import QubitState, random_state, trace_distance
 from qhog.cli import main
 from qhog.collision import run_pure
 from qhog.entanglement import (
@@ -123,8 +123,7 @@ def test_criterion_05_simulator_marginal_consistency():
             cases.append((sys_ket, res_ket))
         for sys_ket, res_ket in cases:
             angle = random_angle(rng)
-            rho0 = QubitState(bloch_from_ket(sys_ket))
-            xi = QubitState(bloch_from_ket(res_ket))
+            rho0, xi = (QubitState.from_density(np.outer(k, k.conj())) for k in (sys_ket, res_ket))
             state = run_pure(sys_ket, res_ket, n, angle, [])
             for step in range(1, n + 1):
                 state = state.run([step])

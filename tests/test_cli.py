@@ -209,7 +209,8 @@ def test_homogenize_json_matches_json_dumps(capsys, tmp_path, monkeypatch):
     # the start carries exact -0.0 components and late distances print in exponent form
     argv = [*_TRAJECTORY_ARGV, "--format", "json"]
     records = [{"n": st.n, "system": list(st.system.w), "reservoir_out": list(st.reservoir_out.w),
-                "D_sys": st.d_system, "D_res": st.d_reservoir} for st in _trajectory_of_argv()]
+                "D_sys": st.d_system, "D_res": st.d_reservoir}
+               for st in _trajectory_of_argv().steps]
     want = json.dumps(records, indent=2, sort_keys=True) + "\n"
     assert "-0.0," in want and "e-" in want
     for chunk in (None, 7):  # 7: the 61 records cross eight chunk edges
@@ -230,7 +231,7 @@ def test_homogenize_csv_matches_one_shot_rows(capsys, tmp_path, monkeypatch, chu
         monkeypatch.setattr("qhog.cli._DUMP_CHUNK", chunk)  # 61 rows in nine chunks
     # the one-shot formula the streamed writer replaced
     rows = ["n,wx,wy,wz,txp,typ,tzp,D_sys,D_res"]
-    for st in _trajectory_of_argv():
+    for st in _trajectory_of_argv().steps:
         vals = [*st.system.w, *st.reservoir_out.w, st.d_system, st.d_reservoir]
         rows.append(f"{st.n}," + ",".join(f"{v:.17g}" for v in vals))
     want = "\n".join(rows) + "\n"

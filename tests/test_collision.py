@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qhog import collision
-from qhog.bloch import QubitState, bloch_from_ket
+from qhog.bloch import QubitState
 from qhog.collision import (
     _BLOCK,
     ExcitationState,
@@ -223,9 +223,8 @@ def test_single_collision_matches_bloch_step():
         angle = SwapAngle(rng.uniform(0, math.pi / 2))
         state = run_pure(sys_ket, res_ket, 3, angle, []).run([1])
         got = QubitState.from_density(state.reduced(0))
-        want = step_system(
-            QubitState(bloch_from_ket(sys_ket)), QubitState(bloch_from_ket(res_ket)), angle
-        )
+        rho0, xi = (QubitState.from_density(np.outer(k, k.conj())) for k in (sys_ket, res_ket))
+        want = step_system(rho0, xi, angle)
         assert np.allclose(got.w, want.w, atol=1e-12)
 
 
@@ -333,9 +332,8 @@ def test_reservoir_marginals_match_trajectory():
     angle = SwapAngle.from_sin_squared(0.3)
     sys_ket = np.array([0.6, 0.8j], dtype=complex)
     state = run_pure(sys_ket, PLUS, n, angle, []).run()
-    traj = run_trajectory(
-        QubitState(bloch_from_ket(sys_ket)), QubitState(bloch_from_ket(PLUS)), angle, n
-    )
+    rho0, xi = (QubitState.from_density(np.outer(k, k.conj())) for k in (sys_ket, PLUS))
+    traj = run_trajectory(rho0, xi, angle, n)
     for k in range(1, n + 1):
         got = QubitState.from_density(state.reduced(k))
         assert np.allclose(got.w, traj.steps[k].reservoir_out.w, atol=1e-12)

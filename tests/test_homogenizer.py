@@ -174,7 +174,7 @@ def test_trajectory_constant_at_fixed_point():
     xi = QubitState([0.1, 0.2, 0.3])
     traj = run_trajectory(xi, xi, SwapAngle.from_sin_squared(0.2), 5)
     assert len(traj.steps) == 6
-    for st in traj:
+    for st in traj.steps:
         assert st.d_system == pytest.approx(0.0, abs=1e-12)
         assert st.d_reservoir == pytest.approx(0.0, abs=1e-12)
 
@@ -200,7 +200,7 @@ def test_trajectory_csv_shape():
     assert lines[0] == "n,wx,wy,wz,txp,typ,tzp,D_sys,D_res"
     assert len(lines) == 5
     assert lines[1].startswith("0,")
-    assert len(traj) == 4 and [st.n for st in traj] == [0, 1, 2, 3]
+    assert len(traj.steps) == 4 and [st.n for st in traj.steps] == [0, 1, 2, 3]
 
 
 def _trajectory_by_steps(rho0, xi, angle, n_steps):
@@ -239,7 +239,7 @@ def test_run_trajectory_bitwise_matches_step_loop(eta):
         for g, w in zip(got, want):
             assert np.array_equal(_bits(g), _bits(w))
         assert np.array_equal(_bits([st.system.w for st in traj.steps]), _bits(want[0]))
-        assert [st.d_reservoir for st in traj] == want[3]
+        assert [st.d_reservoir for st in traj.steps] == want[3]
         assert np.array_equal(_bits(step_system(rho0, xi, angle).w), _bits(want[0][1]))
         assert np.array_equal(_bits(step_reservoir(rho0, xi, angle).w), _bits(want[1][1]))
 

@@ -174,6 +174,19 @@ def test_suites_catch_a_dropped_collision(monkeypatch):
     assert not verify.run_check("collision.marginal_consistency", seed=0, quick=False).ok
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("quick", [True, False])
+def test_suites_catch_a_dropped_collision_in_a_mixed_run(monkeypatch, seed, quick):
+    """collision.marginal_consistency reads the system states that a mixed simulate streams."""
+    real = col._system_states
+
+    def short(systems, reservoir, n, angle, order):
+        return real(systems, reservoir, n, angle, order[:-1])
+
+    monkeypatch.setattr(col, "_system_states", short)
+    assert not verify.run_check("collision.marginal_consistency", seed=seed, quick=quick).ok
+
+
 def test_checks_are_deterministic():
     a = verify.run_check("homogenizer.fixed_point", seed=1, quick=False)
     b = verify.run_check("homogenizer.fixed_point", seed=1, quick=False)
