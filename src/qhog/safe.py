@@ -30,14 +30,18 @@ call's rejection sampling on the whole window at once.  The pick is
 Lemire's method on one draw; Fisher-Yates step i = N-1, ..., 1 keeps the
 first draw whose low bit_length(i) bits are at most i.  So every pick and
 order is bit-identical to the per-trial calls, and depends only on the
-PCG64 stream.  Finding where each trial ends runs every sampler over every
-draw of the window, about 1.3 N^2 draw tests per trial, so the bulk read
-beats the per-trial calls up to N of about 15 and loses above.
+PCG64 stream.  That stream, ``default_rng(seed).bit_generator.random_raw``,
+is computed here too (``_PCG64``: numpy's seeding in Python ints, the
+outputs 2^12 at a time in uint64 limbs), so no command loads
+``numpy.random``.  Finding where each trial ends runs every sampler over
+every draw of the window, about 1.3 N^2 draw tests per trial, so the bulk
+read beats the per-trial calls up to N of about 15 and loses above.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,17 +273,128 @@ def _replay_trials(draws: np.ndarray, starts: np.ndarray, n: int, steps):
     return picks, orders.reshape(-1, n)
 
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# stream positions computed side by side, one 128-bit state each
+_LANES = 1 << 12
+
+
+def _hashmix(const: int, mult: int):
+    """numpy SeedSequence's 32-bit hash, whose constant steps by ``mult`` at every call."""
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _pcg64_seed(seed: int) -> tuple[int, int]:
+    """PCG64's (initstate, initseq): numpy's ``SeedSequence(seed).generate_state(4, uint64)``."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"the seed must be a non-negative integer, got {seed}")
+    # 32-bit words, least significant first; seed 0 is one word
+    entropy = [seed >> 32 * i & _M32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    words = list(map(_hashmix(0x8B51F9DD, 0x58F38DED), pool * 2))  # cycling the pool
+    w = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]  # four 64-bit words
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+def _limbs(values):
+    """uint64 arrays of the high and low words of 128-bit Python ints."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _M64 for v in values], dtype=np.uint64))
+
+
+def _mul_add(xh, xl, yh, yl, zh, zl):
+    """High and low words of x * y + z mod 2^128: x in uint64 arrays, y, z arrays or np.uint64."""
+    m32, s32 = np.uint64(_M32), np.uint64(32)
+    x0, x1, y0, y1 = xl & m32, xl >> s32, yl & m32, yl >> s32
+    p01, p10 = x0 * y1, x1 * y0
+    mid = (x0 * y0 >> s32) + (p01 & m32) + (p10 & m32)
+    lo = xl * yl + zl
+    hi = x1 * y1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)  # high word of xl * yl
+    hi += xl * yh + xh * yl + zh + (lo < zl).astype(np.uint64)
+    return hi, lo
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's output of each state: (hi ^ lo) rotated right by hi >> 58."""
+    rot, value = hi >> np.uint64(58), hi ^ lo
+    return value >> rot | value << (np.uint64(64) - rot & np.uint64(63))
+
+
+class _PCG64:
+    """The PCG64 stream of ``numpy.random.default_rng(seed)``, without numpy.random.
+
+    M. E. O'Neill, HMC-CS-2014-0905: each output steps the 128-bit state
+    s <- s * _PCG_MULT + inc and returns ``_xsl_rr`` of the new s; the seed
+    goes through numpy's SeedSequence and PCG64's srandom.  Lane j of a
+    request holds s_(p+1+j) = a^(j+1) s_p + c_j, with a = _PCG_MULT and
+    c_j = inc (1 + a + ... + a^j), for the state s_p the stream stands at,
+    and steps by _LANES outputs per round.
+    """
+
+    def __init__(self, seed: int):
+        initstate, initseq = _pcg64_seed(seed)
+        inc = (initseq << 1 | 1) & _M128
+        self._state = ((inc + initstate) * _PCG_MULT + inc) & _M128
+        power, offset, powers, offsets = _PCG_MULT, inc, [], []
+        for _ in range(_LANES):
+            powers.append(power)
+            offsets.append(offset)
+            power, offset = power * _PCG_MULT & _M128, (offset * _PCG_MULT + inc) & _M128
+        self._power, self._offset = _limbs(powers), _limbs(offsets)
+        # one round steps every lane by _LANES outputs
+        a, c = powers[-1], offsets[-1]
+        self._round = [np.uint64(x) for x in (a >> 64, a & _M64, c >> 64, c & _M64)]
+
+    def random_raw(self, size: int) -> np.ndarray:
+        """The next ``size`` 64-bit outputs, as ``bit_generator.random_raw(size)`` gives them."""
+        width = min(size, _LANES)
+        state = np.uint64(self._state >> 64), np.uint64(self._state & _M64)
+        (ah, al), (ch, cl) = self._power, self._offset
+        hi, lo = _mul_add(ah[:width], al[:width], *state, ch[:width], cl[:width])
+        out = [_xsl_rr(hi, lo)]
+        for _ in range(1, -(-size // width)):
+            hi, lo = _mul_add(hi, lo, *self._round)
+            out.append(_xsl_rr(hi, lo))
+        last = (size - 1) % width
+        self._state = int(hi[last]) << 64 | int(lo[last])
+        return np.concatenate(out)[:size]
+
+
 def _sampled(b, chosen_list, angle, sample: int, seed: int):
     """z for ``sample`` seeded random (chosen, order) draws, in batches.
 
     Trial r draws ``rng.integers(len(chosen_list))`` and then
     ``rng.shuffle(arange(N))`` on ``default_rng(seed)``; ``_draw_trials``
-    reads those draws in bulk from the PCG64 stream, one batch of trials
-    per window, and each batch goes through the kernel as one table.
+    reads those draws in bulk from ``_PCG64(seed)``, the same stream, one
+    batch of trials per window, and each batch goes through the kernel as
+    one table.
     """
     n = b.size - 1
-    random_raw = np.random.default_rng(seed).bit_generator.random_raw
-    for picks, orders in _draw_trials(n, len(chosen_list), sample, random_raw):
+    for picks, orders in _draw_trials(n, len(chosen_list), sample, _PCG64(seed).random_raw):
         chosen = np.asarray(chosen_list)[picks]
         orders += orders >= chosen[:, None]  # index into the pool -> qubit
         yield unwind_z_excitation(b, chosen, orders, angle)

@@ -541,7 +541,48 @@ def check_safe_determinism(rng, quick) -> str:
     c = safe.sweep_incorrect(4, angle, sample=500, seed=7)
     d = safe.sweep_incorrect(4, angle, sample=500, seed=7)
     _require(c == d, "sampled sweep not reproducible for a fixed seed")
-    return "sweeps bit-identical across runs"
+    # the sampled trials read safe's own PCG64 stream: it must be numpy's, from a
+    # seed of one to five 32-bit words, read in two requests
+    seed = int.from_bytes(rng.bytes(int(rng.integers(1, 21))), "little")
+    first = int(rng.integers(1, 10**4))
+    stream = safe._PCG64(seed)
+    got = np.concatenate([stream.random_raw(first), stream.random_raw(10**4 - first)])
+    want = np.random.default_rng(seed).bit_generator.random_raw(10**4)
+    _require(np.array_equal(got, want),
+             f"PCG64 stream of seed {seed} differs from numpy's at word "
+             f"{int(np.argmax(got != want))}")
+    return f"sweeps bit-identical across runs; PCG64 stream of seed {seed} equals numpy's"
+
+
+def check_safe_full_swap(rng, quick) -> str:
+    """Exact reversals at the ends of the angle range, where the safe does not hold.
+
+    Unwinding is b_j <- u b_j + v b_k with u = c^2 + ics and v = s^2 - ics.
+    At a full swap c = 0, so u = 0 and v = 1: the unwound qubit ends holding
+    the forward amplitude of the last slot of the order, and the forward
+    run left the excitation in slot 1 alone.  So an order reverses exactly
+    when it ends on slot 1: (N-1)! of the N! orders in correct mode, and
+    (N-1) (N-1)! of the N N! in incorrect mode, where the wrong choice is
+    not slot 1.  At eta = 0, u = 1 and v = 0, so nothing moves, and the
+    forward run moved nothing either: the system still holds the
+    excitation, so all N! orders reverse in correct mode and none in
+    incorrect mode.
+    """
+    full, still = hmg.SwapAngle(math.pi / 2), hmg.SwapAngle(0.0)
+    f, cases = math.factorial, []
+    for n in (3, 4, 5):
+        cases += [("correct", n, full, f(n - 1), f(n)), ("correct", n, still, f(n), f(n))]
+    for n in (3, 4):
+        total = n * f(n)
+        cases += [("incorrect", n, full, (n - 1) * f(n - 1), total),
+                  ("incorrect", n, still, 0, total)]
+    for mode, n, angle, exact, total in cases:
+        sweep = safe.sweep_correct if mode == "correct" else safe.sweep_incorrect
+        hist = sweep(n, angle)
+        _require((hist.exact_reversals, hist.total_trials) == (exact, total),
+                 f"{mode} N={n} eta={angle.eta:.4f}: {hist.exact_reversals} of "
+                 f"{hist.total_trials} orders reversed, want {exact} of {total}")
+    return f"{len(cases)} sweeps: (N-1)! and (N-1) (N-1)! at a full swap, N! and 0 at eta = 0"
 
 
 # "core.trace_preservation" -> check_core_trace_preservation, in definition order

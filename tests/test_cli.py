@@ -722,6 +722,22 @@ def test_bulk_output_is_written_in_bounded_pieces(tmp_path, argv, n, bound_mib):
     assert (kib_n - kib3) / 1024 < bound_mib
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_sampled_sweep_peaks_as_the_exhaustive_one():
+    # the sampled trials read qhog.safe's own PCG64 stream; numpy.random and
+    # the hashlib it imports would add about 6 MiB to the process
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = "safe --delta 0.1 --n 9 --mode {}"
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILDREN,
+                           argv.format("incorrect --sample 50000"), argv.format("correct")],
+                          capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    sampled, full = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+    assert sampled[0] == full[0] == 0  # exit codes, then peaks in KiB
+    assert (sampled[1] - full[1]) / 1024 < 2
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="a FIFO, read by a thread until EOF")
 @pytest.mark.parametrize("argv", [
     "simulate --eta 0.3 --n 17 --format json",
@@ -1008,6 +1024,15 @@ def _run_python(code: str, **env_vars) -> str:
 
 def test_importing_qhog_leaves_numpy_unloaded():
     assert _run_python("import sys, qhog; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_sampled_sweep_leaves_numpy_random_unloaded():
+    # against what importing numpy alone loads, as an older numpy may load numpy.random too
+    code = ("import sys, {}; print(sorted({{'numpy.random', 'secrets'}} & set(sys.modules)))")
+    run = ("qhog.__main__; qhog.__main__.main(['safe', '--delta', '0.1', '--n', '9', "
+           "'--mode', 'incorrect', '--sample', '50000', '--seed', '5'])")
+    numpy_alone = _run_python(code.format("numpy"))
+    assert _run_python(code.format(run)).splitlines()[-1] == numpy_alone.strip()
 
 
 def test_importing_cli_leaves_concurrent_futures_unloaded():

@@ -40,6 +40,7 @@ CHECK_NAMES = [
     "entanglement.local_unitary_invariance",
     "safe.reversibility",
     "safe.determinism",
+    "safe.full_swap",
 ]
 
 
@@ -185,6 +186,13 @@ def test_suites_catch_a_dropped_collision_in_a_mixed_run(monkeypatch, seed, quic
 
     monkeypatch.setattr(col, "_system_states", short)
     assert not verify.run_check("collision.marginal_consistency", seed=seed, quick=quick).ok
+
+
+def test_suites_catch_a_wrong_pcg64_stream(monkeypatch):
+    """safe.determinism compares the sampled sweep's own PCG64 stream with numpy's."""
+    real = safe._xsl_rr
+    monkeypatch.setattr(safe, "_xsl_rr", lambda hi, lo: real(lo, hi))
+    assert not verify.run_check("safe.determinism", seed=0, quick=True).ok
 
 
 def test_checks_are_deterministic():

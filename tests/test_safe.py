@@ -11,6 +11,7 @@ from qhog.collision import excitation_forward_run, run_pure
 from qhog.homogenizer import SwapAngle, budget_from_delta
 from qhog.safe import (
     NUM_BINS,
+    _PCG64,
     _draw_trials,
     bin_centers,
     bin_index,
@@ -418,3 +419,22 @@ def test_bulk_draws_single_trial_longer_than_its_window(monkeypatch):
     draws[:500] = 0xFFFFFFFF
     _assert_same_trials(_bulk_trials(n, 1, count, _CraftedStream(draws)),
                         _scalar_trials(draws, n, 1, count))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 10**23, 2**130 + 5])
+def test_pcg64_stream_equals_numpy_random_raw(seed):
+    # 10**23 is a --seed the CLI takes; 2**130 + 5 has more 32-bit words than
+    # the seed pool.  The requests stop short of, at and past the 2**12 lanes
+    sizes = [1, 2**12 - 1, 2**12, 2**12 + 1, 3 * 2**12 + 7]
+    stream = _PCG64(seed)
+    got = np.concatenate([stream.random_raw(size) for size in sizes])
+    want = np.random.default_rng(seed).bit_generator.random_raw(sum(sizes))
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0])
+def test_pcg64_rejects_what_default_rng_rejects(seed):
+    with pytest.raises(ValueError if seed == -1 else TypeError):
+        np.random.default_rng(seed)
+    with pytest.raises(ValueError if seed == -1 else TypeError):
+        _PCG64(seed)
