@@ -432,9 +432,9 @@ def test_pcg64_stream_equals_numpy_random_raw(seed):
     assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.0])
-def test_pcg64_rejects_what_default_rng_rejects(seed):
-    with pytest.raises(ValueError if seed == -1 else TypeError):
+@pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.0, TypeError)])
+def test_pcg64_rejects_what_default_rng_rejects(seed, error):
+    with pytest.raises(error):
         np.random.default_rng(seed)
-    with pytest.raises(ValueError if seed == -1 else TypeError):
+    with pytest.raises(error):
         _PCG64(seed)
