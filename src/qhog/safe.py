@@ -26,21 +26,24 @@ The sampled sweep's seeded trials are those of ``rng.integers(len(chosen))``
 followed by ``rng.shuffle(arange(N))`` per trial on ``default_rng(seed)``,
 but they are read in bulk: a window of raw PCG64 outputs is split into the
 32-bit draws those calls consume (low half first), and numpy replays each
-call's rejection sampling on the whole window at once.  The pick is
+call's rejection sampling on the whole window at once, every trial of a
+batch moving on from a rejected draw in one full-width step.  The pick is
 Lemire's method on one draw; Fisher-Yates step i = N-1, ..., 1 keeps the
 first draw whose low bit_length(i) bits are at most i.  So every pick and
 order is bit-identical to the per-trial calls, and depends only on the
 PCG64 stream.  That stream, ``default_rng(seed).bit_generator.random_raw``,
-is computed here too (``_PCG64``: numpy's seeding in Python ints, the
-outputs 2^12 at a time in uint64 limbs), so no command loads
-``numpy.random``.  Finding where each trial ends runs every sampler over
-every draw of the window, about 1.3 N^2 draw tests per trial, so the bulk
-read beats the per-trial calls up to N of about 15 and loses above.
+is computed here too (``_PCG64``: numpy's seeding in Python ints, then
+2^12 lanes of the stream, built by doubling and stepped 2^12 outputs at a
+time in uint64 limbs), so no command loads ``numpy.random``.  Finding
+where each trial ends runs every sampler over every draw of the window,
+about 1.3 N^2 draw tests per trial, so the bulk read beats the per-trial
+calls up to N of about 15 and loses above.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -155,7 +158,8 @@ def _exhaustive(b, chosen_list, angle):
     u, wr, wi = _recurrence(b, angle)
     n = b.size - 1
     m = min(SUFFIX_LEN, n)
-    suffixes = np.array(list(itertools.permutations(range(m))), dtype=np.intp).T
+    suffixes = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(m))),
+                           np.intp, count=m * math.factorial(m)).reshape(-1, m).T
     for chosen in chosen_list:
         pool = [q for q in range(n + 1) if q != chosen]
         for prefix in itertools.permutations(pool, n - m):
@@ -259,10 +263,10 @@ def _replay_trials(draws: np.ndarray, starts: np.ndarray, n: int, steps):
     base = np.arange(0, orders.size, n)  # first entry of each row
     pos = starts
     for bound, lemire in steps:
-        redo = np.arange(pos.size)
-        while redo.size:  # move each rejected trial on to its next draw
-            redo = redo[~_accepted(draws[pos[redo]], bound, lemire)]
-            pos[redo] += 1
+        taken = _accepted(draws[pos], bound, lemire)
+        while not taken.all():  # move each rejected trial on to its next draw, over all rows
+            pos += ~taken
+            taken = _accepted(draws[pos], bound, lemire)
         value = _picked(draws[pos], bound, lemire)
         pos += 1
         if lemire:
@@ -277,7 +281,7 @@ _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# stream positions computed side by side, one 128-bit state each
+# stream positions computed side by side, one 128-bit state each (doubled: a power of 2)
 _LANES = 1 << 12
 
 
@@ -320,10 +324,9 @@ def _pcg64_seed(seed: int) -> tuple[int, int]:
     return w[0] << 64 | w[1], w[2] << 64 | w[3]
 
 
-def _limbs(values):
-    """uint64 arrays of the high and low words of 128-bit Python ints."""
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & _M64 for v in values], dtype=np.uint64))
+def _words(value: int):
+    """High and low words of a 128-bit Python int, as np.uint64."""
+    return np.uint64(value >> 64), np.uint64(value & _M64)
 
 
 def _mul_add(xh, xl, yh, yl, zh, zl):
@@ -352,29 +355,32 @@ class _PCG64:
     goes through numpy's SeedSequence and PCG64's srandom.  Lane j of a
     request holds s_(p+1+j) = a^(j+1) s_p + c_j, with a = _PCG_MULT and
     c_j = inc (1 + a + ... + a^j), for the state s_p the stream stands at,
-    and steps by _LANES outputs per round.
+    and steps by _LANES outputs per round.  The lanes double from lane 0,
+    (a, inc): lanes w..2w-1 are lanes 0..w-1 stepped by the jump (a_w, c_w)
+    of w outputs, and a_2w = a_w^2, c_2w = c_w (a_w + 1).
     """
 
     def __init__(self, seed: int):
         initstate, initseq = _pcg64_seed(seed)
         inc = (initseq << 1 | 1) & _M128
         self._state = ((inc + initstate) * _PCG_MULT + inc) & _M128
-        power, offset, powers, offsets = _PCG_MULT, inc, [], []
-        for _ in range(_LANES):
-            powers.append(power)
-            offsets.append(offset)
-            power, offset = power * _PCG_MULT & _M128, (offset * _PCG_MULT + inc) & _M128
-        self._power, self._offset = _limbs(powers), _limbs(offsets)
-        # one round steps every lane by _LANES outputs
-        a, c = powers[-1], offsets[-1]
-        self._round = [np.uint64(x) for x in (a >> 64, a & _M64, c >> 64, c & _M64)]
+        a, c = _PCG_MULT, inc
+        # lane j is the row (a^(j+1), c_j) of hi and lo; (a, c) jumps by the lane count
+        hi = np.array([[a >> 64, c >> 64]], dtype=np.uint64)
+        lo = np.array([[a & _M64, c & _M64]], dtype=np.uint64)
+        while len(hi) < _LANES:  # a power x steps to a x, an offset x to a x + c
+            ch, cl = (np.array([0, x], dtype=np.uint64) for x in _words(c))
+            step = _mul_add(hi, lo, *_words(a), ch, cl)
+            hi, lo = np.concatenate([hi, step[0]]), np.concatenate([lo, step[1]])
+            a, c = a * a & _M128, c * (a + 1) & _M128
+        self._lanes = hi.T, lo.T
+        self._round = (*_words(a), *_words(c))  # steps every lane by _LANES outputs
 
     def random_raw(self, size: int) -> np.ndarray:
         """The next ``size`` 64-bit outputs, as ``bit_generator.random_raw(size)`` gives them."""
         width = min(size, _LANES)
-        state = np.uint64(self._state >> 64), np.uint64(self._state & _M64)
-        (ah, al), (ch, cl) = self._power, self._offset
-        hi, lo = _mul_add(ah[:width], al[:width], *state, ch[:width], cl[:width])
+        (ah, ch), (al, cl) = self._lanes
+        hi, lo = _mul_add(ah[:width], al[:width], *_words(self._state), ch[:width], cl[:width])
         out = [_xsl_rr(hi, lo)]
         for _ in range(1, -(-size // width)):
             hi, lo = _mul_add(hi, lo, *self._round)

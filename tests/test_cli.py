@@ -738,6 +738,21 @@ def test_sampled_sweep_peaks_as_the_exhaustive_one():
     assert (sampled[1] - full[1]) / 1024 < 2
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_exhaustive_sweep_holds_no_table_of_tuples():
+    # the 5040 x 7 suffix table of N = 9 is one intp array of 276 KiB; built
+    # from a list of 5040 tuples, it put the peak 1.0 to 1.4 MiB above N = 2's
+    src = str(Path(qhog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = "safe --delta 0.1 --n {} --mode correct"
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILDREN, argv.format(9),
+                           argv.format(2)], capture_output=True, env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (code9, kib9), (code2, kib2) = [map(int, line.split()) for line in proc.stdout.splitlines()]
+    assert code9 == code2 == 0
+    assert (kib9 - kib2) / 1024 < 1.0
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="a FIFO, read by a thread until EOF")
 @pytest.mark.parametrize("argv", [
     "simulate --eta 0.3 --n 17 --format json",

@@ -421,11 +421,19 @@ def test_bulk_draws_single_trial_longer_than_its_window(monkeypatch):
                         _scalar_trials(draws, n, 1, count))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 10**23, 2**130 + 5])
-def test_pcg64_stream_equals_numpy_random_raw(seed):
+_PCG64_CASES = [(lanes, seed) for lanes in (2**12, 8, 2, 1)
+                for seed in (0, 1, 2**32 - 1, 2**32, 2**64, 10**23, 2**130 + 5)]
+
+
+@pytest.mark.parametrize("lanes,seed", _PCG64_CASES, ids=[
+    str(seed) if lanes == 2**12 else f"{seed}-lanes{lanes}" for lanes, seed in _PCG64_CASES])
+def test_pcg64_stream_equals_numpy_random_raw(monkeypatch, lanes, seed):
     # 10**23 is a --seed the CLI takes; 2**130 + 5 has more 32-bit words than
-    # the seed pool.  The requests stop short of, at and past the 2**12 lanes
-    sizes = [1, 2**12 - 1, 2**12, 2**12 + 1, 3 * 2**12 + 7]
+    # the seed pool.  The lanes are doubled from one (one lane: no doubling
+    # pass); the requests stop short of, at and past them and cross several rounds
+    monkeypatch.setattr(safe, "_LANES", lanes)
+    sizes = [size for size in (1, lanes - 1, lanes, lanes + 1, 3 * lanes + 7, 9 * lanes + 2)
+             if size]
     stream = _PCG64(seed)
     got = np.concatenate([stream.random_raw(size) for size in sizes])
     want = np.random.default_rng(seed).bit_generator.random_raw(sum(sizes))
