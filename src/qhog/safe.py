@@ -19,25 +19,25 @@ v = s^2 - ics (c = cos eta, s = sin eta), and z = 1 - 2|b_j|^2.  One
 kernel runs that recurrence step by step over a table of orders, all
 rows at once.  The exhaustive sweep writes every order as a short prefix
 followed by a row of one shared table of the min(N, 7)! suffix
-permutations; the sampled sweep draws its orders in fixed-size batches.
-Memory stays bounded for any N.
+permutations; the sampled sweep draws its orders in batches of at most
+2^13 // N (at least one).  Memory stays bounded for any N.
 
 The sampled sweep's seeded trials are those of ``rng.integers(len(chosen))``
 followed by ``rng.shuffle(arange(N))`` per trial on ``default_rng(seed)``,
-but they are read in bulk: a window of raw PCG64 outputs is split into the
-32-bit draws those calls consume (low half first), and numpy replays each
-call's rejection sampling on the whole window at once, every trial of a
-batch moving on from a rejected draw in one full-width step.  The pick is
+but they are read in bulk from the PCG64 stream.  That stream,
+``default_rng(seed).bit_generator.random_raw``, is computed here
+(``_PCG64``: numpy's seeding in Python ints, then 2^12 lanes in uint64
+limbs), so no command loads ``numpy.random``; it comes in rounds of 2^12
+64-bit outputs, 2^13 32-bit draws (low half first).  A window of whole
+rounds holds the draws of the next trials, and numpy replays each call's
+rejection sampling on the whole window at once, every trial of a batch
+moving on from a rejected draw in one full-width step.  The pick is
 Lemire's method on one draw; Fisher-Yates step i = N-1, ..., 1 keeps the
 first draw whose low bit_length(i) bits are at most i.  So every pick and
 order is bit-identical to the per-trial calls, and depends only on the
-PCG64 stream.  That stream, ``default_rng(seed).bit_generator.random_raw``,
-is computed here too (``_PCG64``: numpy's seeding in Python ints, then
-2^12 lanes of the stream, built by doubling and stepped 2^12 outputs at a
-time in uint64 limbs), so no command loads ``numpy.random``.  Finding
-where each trial ends runs every sampler over every draw of the window,
-about 1.3 N^2 draw tests per trial, so the bulk read beats the per-trial
-calls up to N of about 15 and loses above.
+PCG64 stream.  Finding where each trial ends runs every sampler over every
+draw of the window, about 1.3 N^2 draw tests per trial, so the bulk read
+beats the per-trial calls up to N of about 15 and loses above.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ NUM_BINS = 21
 
 # length of the suffix shared by all exhaustive orders (a 7! x 7 table)
 SUFFIX_LEN = 7
-# order-table entries per sampled batch; a batch's draws are read as one window
-SAMPLE_BATCH_SLOTS = 1 << 13
 
 
 def bin_centers() -> list[float]:
@@ -191,12 +189,6 @@ def _picked(draws: np.ndarray, bound: int, lemire: bool) -> np.ndarray:
     return (draws & ((1 << bound.bit_length()) - 1)).astype(np.intp)
 
 
-def _mean_draws(steps) -> float:
-    """Expected 32-bit draws per trial: one over each sampler's acceptance rate."""
-    return sum(2**32 / (2**32 - (2**32 - b) % b) if lemire else (1 << b.bit_length()) / (b + 1)
-               for b, lemire in steps)
-
-
 def _trial_ends(draws: np.ndarray, steps) -> np.ndarray:
     """Position after the last draw of a trial started at each position 0..L of ``draws``.
 
@@ -218,42 +210,38 @@ def _trial_ends(draws: np.ndarray, steps) -> np.ndarray:
     return ends
 
 
-def _draw_trials(n: int, k: int, sample: int, random_raw):
-    """Picks and orders of ``sample`` trials, in batches of at most SAMPLE_BATCH_SLOTS // n.
+def _draw_trials(n: int, k: int, sample: int, rounds):
+    """Picks and orders of ``sample`` trials, in batches of max(1, 2 * _LANES // n).
 
-    With ``random_raw = default_rng(seed).bit_generator.random_raw``, trial
-    r is bit for bit ``rng.integers(k)`` then ``rng.shuffle(arange(n))``.
-    Each batch reads the 64-bit outputs that top its window of 32-bit
-    draws up to the expected need, finds every trial's end in the window,
-    walks from its first draw to the starts of its trials and replays them.
+    ``rounds`` yields whole rounds of _LANES 64-bit outputs; with the rounds
+    of ``_PCG64(seed)``, trial r is bit for bit ``rng.integers(k)`` then
+    ``rng.shuffle(arange(n))`` on ``default_rng(seed)``.  Each batch finds
+    every trial's end in the window of 32-bit draws, walks from its first
+    draw to the starts of its trials and replays them.  When the next
+    trial runs past the window, the window gains one round, or as many as
+    it holds when no trial fitted, and trials that take no draws read none.
     """
     steps = _draw_steps(n, k)
-    rows = max(1, SAMPLE_BATCH_SLOTS // n)
-    per_trial = _mean_draws(steps)
+    rows = max(1, 2 * _LANES // n)
     draws = np.empty(0, dtype=np.uint32)
     done = 0
-    reach = 1  # window size over the expected need; grows while no trial fits
     while done < sample:
-        count = min(rows, sample - done)
-        need = int(reach * (1.05 * count * per_trial + 2 * len(steps)))
-        if draws.size < need:
-            raw = random_raw(-(-(need - draws.size) // 2))
-            draws = np.concatenate([draws, raw.astype("<u8").view("<u4")])
+        size = draws.size
         ends = memoryview(_trial_ends(draws, steps))
         starts, pos = [], 0
-        for _ in range(count):
+        for _ in range(min(rows, sample - done)):
             end = ends[pos]
-            if end > draws.size:
+            if end > size:
                 break
             starts.append(pos)
             pos = end
-        if not starts:
-            reach *= 2
-            continue
-        reach = 1
-        yield _replay_trials(draws, np.array(starts), n, steps)
+        if starts:
+            yield _replay_trials(draws, np.array(starts), n, steps)
+            done += len(starts)
         draws = draws[pos:]
-        done += len(starts)
+        if ends[pos] > size and done < sample:  # the next trial runs past the window
+            more = [next(rounds) for _ in range(1 + draws.size // (2 * _LANES))]
+            draws = np.concatenate([draws, np.concatenate(more).astype("<u8").view("<u4")])
 
 
 def _replay_trials(draws: np.ndarray, starts: np.ndarray, n: int, steps):
@@ -281,7 +269,7 @@ _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# stream positions computed side by side, one 128-bit state each (doubled: a power of 2)
+# outputs per round of the stream, one 128-bit state each (doubled: a power of 2)
 _LANES = 1 << 12
 
 
@@ -348,46 +336,38 @@ def _xsl_rr(hi, lo):
 
 
 class _PCG64:
-    """The PCG64 stream of ``numpy.random.default_rng(seed)``, without numpy.random.
+    """The PCG64 stream of ``numpy.random.default_rng(seed)``, in rounds of _LANES outputs.
 
     M. E. O'Neill, HMC-CS-2014-0905: each output steps the 128-bit state
     s <- s * _PCG_MULT + inc and returns ``_xsl_rr`` of the new s; the seed
-    goes through numpy's SeedSequence and PCG64's srandom.  Lane j of a
-    request holds s_(p+1+j) = a^(j+1) s_p + c_j, with a = _PCG_MULT and
-    c_j = inc (1 + a + ... + a^j), for the state s_p the stream stands at,
-    and steps by _LANES outputs per round.  The lanes double from lane 0,
-    (a, inc): lanes w..2w-1 are lanes 0..w-1 stepped by the jump (a_w, c_w)
-    of w outputs, and a_2w = a_w^2, c_2w = c_w (a_w + 1).
+    goes through numpy's SeedSequence and PCG64's srandom.  Lane j holds
+    the state of output j of the next round.  The lanes double from lane
+    0, a s + inc with a = _PCG_MULT: lanes w..2w-1 are lanes 0..w-1 stepped
+    by the jump (a_w, c_w) of w outputs, with a_1 = a, c_1 = inc, a_2w =
+    a_w^2 and c_2w = c_w (a_w + 1).  Each round returns the lanes' outputs
+    and steps every lane by the jump of _LANES outputs.
     """
 
     def __init__(self, seed: int):
         initstate, initseq = _pcg64_seed(seed)
         inc = (initseq << 1 | 1) & _M128
-        self._state = ((inc + initstate) * _PCG_MULT + inc) & _M128
         a, c = _PCG_MULT, inc
-        # lane j is the row (a^(j+1), c_j) of hi and lo; (a, c) jumps by the lane count
-        hi = np.array([[a >> 64, c >> 64]], dtype=np.uint64)
-        lo = np.array([[a & _M64, c & _M64]], dtype=np.uint64)
-        while len(hi) < _LANES:  # a power x steps to a x, an offset x to a x + c
-            ch, cl = (np.array([0, x], dtype=np.uint64) for x in _words(c))
-            step = _mul_add(hi, lo, *_words(a), ch, cl)
+        state = ((inc + initstate) * a + inc) & _M128
+        hi, lo = (np.array([x]) for x in _words((a * state + inc) & _M128))
+        while hi.size < _LANES:
+            step = _mul_add(hi, lo, *_words(a), *_words(c))
             hi, lo = np.concatenate([hi, step[0]]), np.concatenate([lo, step[1]])
             a, c = a * a & _M128, c * (a + 1) & _M128
-        self._lanes = hi.T, lo.T
-        self._round = (*_words(a), *_words(c))  # steps every lane by _LANES outputs
+        self._lanes = hi, lo
+        self._round = (*_words(a), *_words(c))
 
-    def random_raw(self, size: int) -> np.ndarray:
-        """The next ``size`` 64-bit outputs, as ``bit_generator.random_raw(size)`` gives them."""
-        width = min(size, _LANES)
-        (ah, ch), (al, cl) = self._lanes
-        hi, lo = _mul_add(ah[:width], al[:width], *_words(self._state), ch[:width], cl[:width])
-        out = [_xsl_rr(hi, lo)]
-        for _ in range(1, -(-size // width)):
-            hi, lo = _mul_add(hi, lo, *self._round)
-            out.append(_xsl_rr(hi, lo))
-        last = (size - 1) % width
-        self._state = int(hi[last]) << 64 | int(lo[last])
-        return np.concatenate(out)[:size]
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        out = _xsl_rr(*self._lanes)
+        self._lanes = _mul_add(*self._lanes, *self._round)
+        return out
 
 
 def _sampled(b, chosen_list, angle, sample: int, seed: int):
@@ -395,12 +375,12 @@ def _sampled(b, chosen_list, angle, sample: int, seed: int):
 
     Trial r draws ``rng.integers(len(chosen_list))`` and then
     ``rng.shuffle(arange(N))`` on ``default_rng(seed)``; ``_draw_trials``
-    reads those draws in bulk from ``_PCG64(seed)``, the same stream, one
-    batch of trials per window, and each batch goes through the kernel as
-    one table.
+    reads those draws in bulk from the rounds of ``_PCG64(seed)``, the
+    same stream, one batch of trials per window of whole rounds, and each
+    batch goes through the kernel as one table.
     """
     n = b.size - 1
-    for picks, orders in _draw_trials(n, len(chosen_list), sample, _PCG64(seed).random_raw):
+    for picks, orders in _draw_trials(n, len(chosen_list), sample, _PCG64(seed)):
         chosen = np.asarray(chosen_list)[picks]
         orders += orders >= chosen[:, None]  # index into the pool -> qubit
         yield unwind_z_excitation(b, chosen, orders, angle)

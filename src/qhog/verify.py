@@ -541,13 +541,12 @@ def check_safe_determinism(rng, quick) -> str:
     c = safe.sweep_incorrect(4, angle, sample=500, seed=7)
     d = safe.sweep_incorrect(4, angle, sample=500, seed=7)
     _require(c == d, "sampled sweep not reproducible for a fixed seed")
-    # the sampled trials read safe's own PCG64 stream: it must be numpy's, from a
-    # seed of one to five 32-bit words, read in two requests
+    # the sampled trials read safe's own PCG64 stream: its first three rounds
+    # must be numpy's, from a seed of one to five 32-bit words
     seed = int.from_bytes(rng.bytes(int(rng.integers(1, 21))), "little")
-    first = int(rng.integers(1, 10**4))
     stream = safe._PCG64(seed)
-    got = np.concatenate([stream.random_raw(first), stream.random_raw(10**4 - first)])
-    want = np.random.default_rng(seed).bit_generator.random_raw(10**4)
+    got = np.concatenate([next(stream) for _ in range(3)])
+    want = np.random.default_rng(seed).bit_generator.random_raw(3 * safe._LANES)
     _require(np.array_equal(got, want),
              f"PCG64 stream of seed {seed} differs from numpy's at word "
              f"{int(np.argmax(got != want))}")

@@ -19,6 +19,16 @@ from qhog.entanglement import CONCURRENCE_FLOOR
 from qhog.homogenizer import SwapAngle, budget_from_delta, run_trajectory
 
 
+_SRC = str(Path(qhog.__file__).resolve().parents[1])
+
+
+def _child_env(env=None, **extra):
+    """``env`` (os.environ by default) with ``extra``, and this checkout's src on PYTHONPATH."""
+    env = dict(os.environ if env is None else env, **extra)
+    env["PYTHONPATH"] = os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")])
+    return env
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -608,9 +618,7 @@ def test_outputs_pinned_on_other_cpu_kernels(tmp_path, coretype, no_avx512):
     # the README's entangle line and the mixed simulate reduce pair and
     # one-qubit states, and the trajectory takes lengths; their bytes must not
     # depend on the kernel the CPU gets
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=path)
+    env = _child_env(OPENBLAS_CORETYPE=coretype)
     if no_avx512:
         env["NPY_DISABLE_CPU_FEATURES"] = _avx512_groups()
     for argv, digests in (_PINNED[1], _PINNED[2], _PINNED[10]):
@@ -667,17 +675,20 @@ for argv in sys.argv[1:]:
 """
 
 
+def _peak_rss(*argvs):
+    """(exit code, peak RSS in KiB) of one qhog child per argv string, in order."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILDREN, *argvs],
+                          capture_output=True, env=_child_env(), text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_mixed_system_run_holds_half_the_final_state():
     # a full 21-qubit state takes 32 MiB; a mixed run of the system qubit
     # holds a prefix without its last collisions and one part of the rest
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = "simulate --delta 0.2 --n {} --system 0.2,0,0.1 --format json"
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILDREN, argv.format(20),
-                           argv.format(3)], capture_output=True, env=env, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    (code20, kib20), (code3, kib3) = [map(int, line.split()) for line in proc.stdout.splitlines()]
+    (code20, kib20), (code3, kib3) = _peak_rss(argv.format(20), argv.format(3))
     assert code20 == code3 == 0
     assert (kib20 - kib3) / 1024 < 24
 
@@ -689,15 +700,9 @@ def test_mixed_system_run_streams_its_last_collisions():
     # streams its last collisions from a prefix of 2**14 amplitudes through
     # one part of 2**18 (4.25 MiB); the state before the last collision
     # alone took 32 MiB
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = "simulate --delta 0.2 --n {} --system 0.2,0,0.1 --order {} --format json"
     last_123 = ",".join(map(str, [*range(4, 22), 1, 2, 3]))
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILDREN,
-                           argv.format(21, last_123), argv.format(3, "3,1,2")],
-                          capture_output=True, env=env, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    (code21, kib21), (code3, kib3) = [map(int, line.split()) for line in proc.stdout.splitlines()]
+    (code21, kib21), (code3, kib3) = _peak_rss(argv.format(21, last_123), argv.format(3, "3,1,2"))
     assert code21 == code3 == 0
     assert (kib21 - kib3) / 1024 < 10
 
@@ -711,13 +716,8 @@ def test_mixed_system_run_streams_its_last_collisions():
     ("homogenize --eta 0.1 --n {} --format json --out {}", 131072, 40),
 ], ids=["simulate", "homogenize"])
 def test_bulk_output_is_written_in_bounded_pieces(tmp_path, argv, n, bound_mib):
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILDREN,
-                           argv.format(n, tmp_path / "big"), argv.format(3, tmp_path / "small")],
-                          capture_output=True, env=env, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    (code_n, kib_n), (code3, kib3) = [map(int, line.split()) for line in proc.stdout.splitlines()]
+    (code_n, kib_n), (code3, kib3) = _peak_rss(argv.format(n, tmp_path / "big"),
+                                               argv.format(3, tmp_path / "small"))
     assert code_n == code3 == 0
     assert (kib_n - kib3) / 1024 < bound_mib
 
@@ -726,14 +726,8 @@ def test_bulk_output_is_written_in_bounded_pieces(tmp_path, argv, n, bound_mib):
 def test_sampled_sweep_peaks_as_the_exhaustive_one():
     # the sampled trials read qhog.safe's own PCG64 stream; numpy.random and
     # the hashlib it imports would add about 6 MiB to the process
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = "safe --delta 0.1 --n 9 --mode {}"
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILDREN,
-                           argv.format("incorrect --sample 50000"), argv.format("correct")],
-                          capture_output=True, env=env, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    sampled, full = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+    sampled, full = _peak_rss(argv.format("incorrect --sample 50000"), argv.format("correct"))
     assert sampled[0] == full[0] == 0  # exit codes, then peaks in KiB
     assert (sampled[1] - full[1]) / 1024 < 2
 
@@ -742,13 +736,8 @@ def test_sampled_sweep_peaks_as_the_exhaustive_one():
 def test_exhaustive_sweep_holds_no_table_of_tuples():
     # the 5040 x 7 suffix table of N = 9 is one intp array of 276 KiB; built
     # from a list of 5040 tuples, it put the peak 1.0 to 1.4 MiB above N = 2's
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = "safe --delta 0.1 --n {} --mode correct"
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILDREN, argv.format(9),
-                           argv.format(2)], capture_output=True, env=env, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    (code9, kib9), (code2, kib2) = [map(int, line.split()) for line in proc.stdout.splitlines()]
+    (code9, kib9), (code2, kib2) = _peak_rss(argv.format(9), argv.format(2))
     assert code9 == code2 == 0
     assert (kib9 - kib2) / 1024 < 1.0
 
@@ -766,8 +755,7 @@ def test_out_to_a_fifo_writes_what_a_file_gets(tmp_path, argv):
     got = []
     reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _child_env()
     for out in (fifo, plain):
         proc = subprocess.run([sys.executable, "-m", "qhog", *argv.split(), "--out", str(out)],
                               capture_output=True, env=env, timeout=60)
@@ -782,10 +770,8 @@ def test_out_to_a_fifo_writes_what_a_file_gets(tmp_path, argv):
 def test_bloch_lengths_and_kets_do_not_depend_on_the_kernel():
     # an off-axis trajectory takes Bloch lengths, and a wx,wy,wz system takes
     # a ket; neither may leave its bits to the BLAS kernel or numpy's SIMD loops
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
-    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    base = _child_env({k: v for k, v in os.environ.items()
+                       if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")})
     settings = [{"OPENBLAS_CORETYPE": coretype} for coretype in ("SkylakeX", "Haswell", "Prescott")]
     settings.append({"NPY_DISABLE_CPU_FEATURES": _avx512_groups()})
     for argv in (
@@ -812,9 +798,7 @@ def test_engine_bit_tests_hold_without_numpys_avx2_loops():
     off = _dispatched_groups("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
     if not off.startswith("X86_V3"):
         pytest.skip("this numpy dispatches no X86_V3 loops on this CPU")
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=off,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _child_env(NPY_DISABLE_CPU_FEATURES=off)
     tests = str(Path(__file__).with_name("test_collision.py"))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", tests,
@@ -863,8 +847,7 @@ def test_verify_rejects_empty_check_name_before_running_any(capsys, monkeypatch,
 
 
 def test_importing_cli_leaves_verify_unloaded():
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _child_env()
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, qhog.cli; print('qhog.verify' in sys.modules)"],
                           capture_output=True, env=env, timeout=60)
@@ -910,6 +893,9 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
          "error: --reservoir '0,0,0': Bloch vector of length 0.0 is not pure\n"),
         (("entangle", "--eta", "0.3", "--n", "3", "--system", "0,0,1", "--format", "json"),
          "error: --system '0,0,1': Bloch vector length 1.0 exceeds 1/2\n"),
+        # entangle takes a pure system only
+        (("entangle", "--eta", "0.3", "--n", "3", "--system", "0.2,0,0.1", "--format", "json"),
+         "error: --system '0.2,0,0.1': Bloch vector of length 0.223606797749979 is not pure\n"),
         *(((command, "--eta", "0.3", "--n", "0", "--format", "json"),
            "error: --n must be at least 1, got 0\n")
           for command in ("simulate", "entangle", "homogenize", "safe")),
@@ -992,9 +978,8 @@ def test_exhaustive_sweep_bound_admits_its_largest_n(monkeypatch):
 def test_closed_stdout_ends_in_one_error_line(buffering):
     # the streamed CSV dump writes in chunks, so the write after the reader
     # has gone fails with a broken pipe, with Python's stdout buffer or without
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(buffering, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _child_env({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+                     **buffering)
     argv = [sys.executable, "-m", "qhog", "simulate", "--eta", "0.3", "--n", "16",
             "--format", "csv"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
@@ -1012,9 +997,8 @@ def test_closed_stdout_ends_in_one_error_line(buffering):
 def test_full_stdout_ends_in_one_error_line(buffering):
     # every write to /dev/full fails with ENOSPC: the unbuffered run at the
     # first write, the buffered one when the data is flushed before the summary
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(buffering, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _child_env({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+                     **buffering)
     argv = [sys.executable, "-m", "qhog", "simulate", "--eta", "0.3", "--n", "3",
             "--format", "json"]
     with open("/dev/full", "w") as full:
@@ -1028,9 +1012,7 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 def _run_python(code: str, **env_vars) -> str:
     """stdout of ``python -c code`` on this checkout; of the thread variables, only ``env_vars``."""
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = _child_env({k: v for k, v in os.environ.items() if k not in _THREAD_VARS})
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**env, **env_vars}, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -1061,8 +1043,7 @@ def test_importing_cli_leaves_concurrent_futures_unloaded():
 def test_entangle_on_one_cpu_prints_the_same_bytes():
     # the pair reductions run on one thread per usable CPU; restricted to one
     # CPU, the command must print the bytes of an unrestricted run
-    src = str(Path(qhog.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _child_env()
     argv = ["entangle", "--eta", "0.3", "--n", "8", "--system", "0.3,0,0.4",
             "--reservoir", "plus", "--format", "json"]
     digests = next(d for a, d in _PINNED if a == argv)

@@ -311,10 +311,17 @@ def _per_call_trials(n, k, sample, seed):
     return picks, orders
 
 
-def _bulk_trials(n, k, sample, random_raw):
-    batches = list(_draw_trials(n, k, sample, random_raw))
+def _numpy_rounds(seed):
+    """numpy's own stream of ``default_rng(seed)``, in rounds of ``_LANES`` outputs."""
+    bit_generator = np.random.default_rng(seed).bit_generator
+    while True:
+        yield bit_generator.random_raw(safe._LANES)
+
+
+def _bulk_trials(n, k, sample, rounds):
+    batches = list(_draw_trials(n, k, sample, rounds))
     assert all(picks.size == orders.shape[0] >= 1 for picks, orders in batches)
-    assert max(picks.size for picks, _ in batches) <= max(1, safe.SAMPLE_BATCH_SLOTS // n)
+    assert max(picks.size for picks, _ in batches) <= max(1, 2 * safe._LANES // n)
     return (np.concatenate([picks for picks, _ in batches]),
             np.concatenate([orders for _, orders in batches]))
 
@@ -327,23 +334,21 @@ def _assert_same_trials(got, want):
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 12])
 @pytest.mark.parametrize("k_is_n", [False, True])
 def test_bulk_draws_match_per_trial_calls(monkeypatch, n, k_is_n):
-    # small batches, so that 20 seeds cross many batch and stream-read boundaries
+    # small rounds and batches, so that 20 seeds cross many batch and round boundaries
     k = n if k_is_n else 1
-    monkeypatch.setattr(safe, "SAMPLE_BATCH_SLOTS", 40)
+    monkeypatch.setattr(safe, "_LANES", 20)
     rows = max(1, 40 // n)
     for seed in range(20):
         sample = 3 * rows + seed % 5  # the last batch partial unless seed % 5 == 0
-        random_raw = np.random.default_rng(seed).bit_generator.random_raw
-        _assert_same_trials(_bulk_trials(n, k, sample, random_raw),
+        _assert_same_trials(_bulk_trials(n, k, sample, _numpy_rounds(seed)),
                             _per_call_trials(n, k, sample, seed))
 
 
 @pytest.mark.parametrize("n", [1, 9, 12])
 def test_bulk_draws_match_per_trial_calls_across_full_batches(n):
-    sample = 2 * max(1, safe.SAMPLE_BATCH_SLOTS // n) + 3
+    sample = 2 * max(1, 2 * safe._LANES // n) + 3
     for seed in (0, 7):
-        random_raw = np.random.default_rng(seed).bit_generator.random_raw
-        _assert_same_trials(_bulk_trials(n, n, sample, random_raw),
+        _assert_same_trials(_bulk_trials(n, n, sample, _numpy_rounds(seed)),
                             _per_call_trials(n, n, sample, seed))
 
 
@@ -370,18 +375,12 @@ def _scalar_trials(draws, n, k, count):
     return np.array(picks, dtype=np.intp), np.array(orders, dtype=np.intp).reshape(count, n)
 
 
-class _CraftedStream:
-    """``random_raw`` over fixed 32-bit draws, low half of each 64-bit output first."""
-
-    def __init__(self, draws):
-        self.words = np.asarray(draws, dtype="<u4").view("<u8")
-        self.read = 0
-
-    def __call__(self, size):
-        assert self.read + size <= self.words.size, "the routine read past the crafted stream"
-        out = self.words[self.read:self.read + size].astype(np.uint64)
-        self.read += size
-        return out
+def _crafted_rounds(draws):
+    """Whole rounds of ``_LANES`` 64-bit outputs over fixed 32-bit draws, low half first."""
+    words = np.asarray(draws, dtype="<u4").view("<u8").astype(np.uint64)
+    for start in range(0, words.size - safe._LANES + 1, safe._LANES):
+        yield words[start:start + safe._LANES]
+    pytest.fail("the routine read past the crafted stream")
 
 
 def test_scalar_emulation_matches_per_trial_calls():
@@ -395,7 +394,7 @@ def test_bulk_draws_on_crafted_stream(monkeypatch):
     n, k, count = 9, 9, 60
     assert (2**32 - k) % k == 4  # so x = 0 gives m mod 2^32 = 0 < 4: a rejected pick
     rng = np.random.default_rng(11)
-    draws = rng.bit_generator.random_raw(3000).astype("<u8").view("<u4").copy()
+    draws = rng.bit_generator.random_raw(3 * 4096).astype("<u8").view("<u4").copy()
     draws[[0, 1, 2]] = 0  # three rejected picks at the start of the stream
     draws[200:203] = 0
     # 15 and 2^32 - 1 pass the pick and i = 7, 3, 1 only: runs of 100 and 400
@@ -404,21 +403,36 @@ def test_bulk_draws_on_crafted_stream(monkeypatch):
     draws[1000:1400] = 0xFFFFFFFF
     want = _scalar_trials(draws, n, k, count)
     assert want[0][0] == int(draws[3]) * k >> 32
-    for slots in (40, 400, safe.SAMPLE_BATCH_SLOTS):
-        monkeypatch.setattr(safe, "SAMPLE_BATCH_SLOTS", slots)
-        _assert_same_trials(_bulk_trials(n, k, count, _CraftedStream(draws)), want)
+    for lanes in (20, 200, 4096):
+        monkeypatch.setattr(safe, "_LANES", lanes)
+        _assert_same_trials(_bulk_trials(n, k, count, _crafted_rounds(draws)), want)
 
 
 def test_bulk_draws_single_trial_longer_than_its_window(monkeypatch):
     # one trial per batch, and a run of 500 rejections in its first step
-    monkeypatch.setattr(safe, "SAMPLE_BATCH_SLOTS", 40)
+    monkeypatch.setattr(safe, "_LANES", 20)
     n, count = 60, 3
     assert (n - 1) & n  # i = n - 1 is not 2^b - 1, so x = 2^32 - 1 is rejected
     draws = np.random.default_rng(5).bit_generator.random_raw(2000).astype("<u8").view("<u4")
     draws = draws.copy()
     draws[:500] = 0xFFFFFFFF
-    _assert_same_trials(_bulk_trials(n, 1, count, _CraftedStream(draws)),
+    _assert_same_trials(_bulk_trials(n, 1, count, _crafted_rounds(draws)),
                         _scalar_trials(draws, n, 1, count))
+
+
+def test_trials_without_draws_read_no_round(monkeypatch):
+    # N = 1 with one candidate runs no sampler: the stream stays unread, and
+    # the batch cap still splits the trials
+    monkeypatch.setattr(safe, "_LANES", 2)
+
+    def unread():
+        pytest.fail("a trial that takes no draws read a round")
+        yield
+
+    sample = 3 * 2 * safe._LANES + 1
+    picks, orders = _bulk_trials(1, 1, sample, unread())
+    assert np.array_equal(picks, np.zeros(sample))
+    assert np.array_equal(orders, np.zeros((sample, 1)))
 
 
 _PCG64_CASES = [(lanes, seed) for lanes in (2**12, 8, 2, 1)
@@ -430,13 +444,11 @@ _PCG64_CASES = [(lanes, seed) for lanes in (2**12, 8, 2, 1)
 def test_pcg64_stream_equals_numpy_random_raw(monkeypatch, lanes, seed):
     # 10**23 is a --seed the CLI takes; 2**130 + 5 has more 32-bit words than
     # the seed pool.  The lanes are doubled from one (one lane: no doubling
-    # pass); the requests stop short of, at and past them and cross several rounds
+    # pass), and nine rounds step them by the round's jump eight times
     monkeypatch.setattr(safe, "_LANES", lanes)
-    sizes = [size for size in (1, lanes - 1, lanes, lanes + 1, 3 * lanes + 7, 9 * lanes + 2)
-             if size]
     stream = _PCG64(seed)
-    got = np.concatenate([stream.random_raw(size) for size in sizes])
-    want = np.random.default_rng(seed).bit_generator.random_raw(sum(sizes))
+    got = np.concatenate([next(stream) for _ in range(9)])
+    want = np.random.default_rng(seed).bit_generator.random_raw(9 * lanes)
     assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
