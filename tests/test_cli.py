@@ -611,6 +611,21 @@ def _avx512_groups() -> str:
     return _dispatched_groups("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
+def _assert_pins_hold(tmp_path, env, argvs):
+    """Each pinned argv, run as a child with ``env`` through --out, prints its pinned bytes."""
+    for argv in argvs:
+        digests = next(d for a, d in _PINNED if a == argv)
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "qhog", *argv, "--out", str(out)],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stdout == b"", proc.stderr
+        assert "stderr" not in digests or _sha256(proc.stderr.decode()) == digests["stderr"]
+        for suffix, digest in digests.items():
+            if suffix != "stderr":
+                data = (tmp_path / f"out{suffix}").read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest, (argv, suffix)
+
+
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the kernel settings name x86-64 CPUs")
 @pytest.mark.parametrize("coretype,no_avx512", [("Haswell", True), ("Zen", False)])
@@ -621,16 +636,24 @@ def test_outputs_pinned_on_other_cpu_kernels(tmp_path, coretype, no_avx512):
     env = _child_env(OPENBLAS_CORETYPE=coretype)
     if no_avx512:
         env["NPY_DISABLE_CPU_FEATURES"] = _avx512_groups()
-    for argv, digests in (_PINNED[1], _PINNED[2], _PINNED[10]):
-        out = tmp_path / "out"
-        proc = subprocess.run([sys.executable, "-m", "qhog", *argv, "--out", str(out)],
-                              capture_output=True, env=env, timeout=120)
-        assert proc.returncode == 0 and proc.stdout == b"", proc.stderr
-        assert "stderr" not in digests or _sha256(proc.stderr.decode()) == digests["stderr"]
-        for suffix, digest in digests.items():
-            if suffix != "stderr":
-                data = (tmp_path / f"out{suffix}").read_bytes()
-                assert hashlib.sha256(data).hexdigest() == digest, (argv, suffix)
+    _assert_pins_hold(tmp_path, env, [
+        ["entangle", "--delta", "0.2", "--n", "10", "--format", "csv"],
+        ["simulate", "--delta", "0.2", "--n", "9", "--system", "0.2,0,0.1",
+         "--order", "4,9,1,7,3,8,2,6,5", "--format", "json"],
+        ["homogenize", "--delta", "0.02", "--format", "json"],
+    ])
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the kernel settings name x86-64 CPUs")
+def test_pins_hold_on_numpys_baseline_loops_and_a_pre_avx2_blas(tmp_path):
+    # every pin but the entangle tables and the complex-ket reservoir holds on
+    # numpy's baseline loops and OpenBLAS's SSE3 kernel: these bytes do not
+    # depend on the SIMD loops or the BLAS kernel that a numpy dispatches
+    env = _child_env(NPY_DISABLE_CPU_FEATURES=_dispatched_groups(
+        "X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"), OPENBLAS_CORETYPE="Prescott")
+    argvs = [a for a, _ in _PINNED if a[0] != "entangle" and "0,0.3,-0.4" not in a]
+    _assert_pins_hold(tmp_path, env, argvs)
 
 
 _FULL_SWAP = repr(math.pi / 2)
@@ -973,17 +996,28 @@ def test_exhaustive_sweep_bound_admits_its_largest_n(monkeypatch):
         main(["safe", "--eta", "0.3", "--n", "9", "--mode", "incorrect", "--sample", "479001600"])
 
 
-@pytest.mark.parametrize("buffering", [{}, {"PYTHONUNBUFFERED": "1"}],
-                         ids=["buffered", "unbuffered"])
-def test_closed_stdout_ends_in_one_error_line(buffering):
-    # the streamed CSV dump writes in chunks, so the write after the reader
-    # has gone fails with a broken pipe, with Python's stdout buffer or without
+# the simulate cases take the bare ids, so their test ids stay stable
+_BUFFERINGS = [({}, "buffered"), ({"PYTHONUNBUFFERED": "1"}, "unbuffered")]
+
+
+@pytest.mark.parametrize("argv,first,buffering", [
+    pytest.param(argv, first, buffering, id=prefix + name)
+    for argv, first, prefix in [
+        ("simulate --eta 0.3 --n 16 --format csv", b"basis,re,im\n", ""),
+        ("homogenize --eta 0.1 --n 200000 --format csv",
+         b"n,wx,wy,wz,txp,typ,tzp,D_sys,D_res\n", "homogenize-"),
+    ]
+    for buffering, name in _BUFFERINGS
+])
+def test_closed_stdout_ends_in_one_error_line(argv, first, buffering):
+    # the streamed CSV dump and trajectory write in chunks, so the write after
+    # the reader has gone fails with a broken pipe, with Python's stdout buffer
+    # or without
     env = _child_env({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
                      **buffering)
-    argv = [sys.executable, "-m", "qhog", "simulate", "--eta", "0.3", "--n", "16",
-            "--format", "csv"]
+    argv = [sys.executable, "-m", "qhog", *argv.split()]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        assert proc.stdout.readline() == b"basis,re,im\n"
+        assert proc.stdout.readline() == first
         proc.stdout.close()
         code = proc.wait(timeout=120)
         err = proc.stderr.read().decode()
@@ -992,15 +1026,18 @@ def test_closed_stdout_ends_in_one_error_line(buffering):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-@pytest.mark.parametrize("buffering", [{}, {"PYTHONUNBUFFERED": "1"}],
-                         ids=["buffered", "unbuffered"])
-def test_full_stdout_ends_in_one_error_line(buffering):
+@pytest.mark.parametrize("argv,buffering", [
+    pytest.param(argv, buffering, id=prefix + name)
+    for argv, prefix in [("simulate --eta 0.3 --n 3 --format json", ""),
+                         ("homogenize --eta 0.1 --n 3 --format json", "homogenize-")]
+    for buffering, name in _BUFFERINGS
+])
+def test_full_stdout_ends_in_one_error_line(argv, buffering):
     # every write to /dev/full fails with ENOSPC: the unbuffered run at the
     # first write, the buffered one when the data is flushed before the summary
     env = _child_env({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
                      **buffering)
-    argv = [sys.executable, "-m", "qhog", "simulate", "--eta", "0.3", "--n", "3",
-            "--format", "json"]
+    argv = [sys.executable, "-m", "qhog", *argv.split()]
     with open("/dev/full", "w") as full:
         proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (
@@ -1040,12 +1077,17 @@ def test_importing_cli_leaves_concurrent_futures_unloaded():
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
-def test_entangle_on_one_cpu_prints_the_same_bytes():
-    # the pair reductions run on one thread per usable CPU; restricted to one
-    # CPU, the command must print the bytes of an unrestricted run
+@pytest.mark.parametrize("argv", [
+    # the pair reductions of a dense state run on one thread per usable CPU
+    ["entangle", "--eta", "0.3", "--n", "8", "--system", "0.3,0,0.4", "--reservoir", "plus",
+     "--format", "json"],
+    # the benchmark's mixed evolution, which starts no threads
+    ["simulate", "--delta", "0.2", "--n", "21", "--system", "0.2,0,0.1", "--order",
+     "21,7,20,8,16,2,6,4,5,1,13,19,14,12,17,18,15,10,11,9,3", "--format", "json"],
+], ids=["entangle", "mixed-simulate"])
+def test_one_cpu_prints_the_same_bytes(argv):
+    # restricted to one CPU, the command must print the bytes of an unrestricted run
     env = _child_env()
-    argv = ["entangle", "--eta", "0.3", "--n", "8", "--system", "0.3,0,0.4",
-            "--reservoir", "plus", "--format", "json"]
     digests = next(d for a, d in _PINNED if a == argv)
     cpu = min(os.sched_getaffinity(0))
     runs = [subprocess.run([sys.executable, "-m", "qhog", *argv], capture_output=True, env=env,
