@@ -17,9 +17,12 @@ value.  So unwinding in the order (k_1, ..., k_N) is the Horner
 recurrence b_j <- u b_j + v b_(k_i), i = 1..N, with u = c^2 + ics and
 v = s^2 - ics (c = cos eta, s = sin eta), and z = 1 - 2|b_j|^2.  One
 kernel runs that recurrence step by step over a table of orders, all
-rows at once.  The exhaustive sweep writes every order as a short prefix
-followed by a row of one shared table of the min(N, 7)! suffix
-permutations; the sampled sweep draws its orders in batches of at most
+rows at once.  The exhaustive sweep ends every order on a set of
+m = min(N, 7) slots.  The recurrence is linear, so b_j ends at u^m x + S,
+where x runs the prefix from b_j and S the suffix from 0.  The m! sums S
+of a set are run once, over a shared table of the m! suffix
+permutations, for every chosen qubit and prefix order of the other
+slots.  The sampled sweep draws its orders in batches of at most
 2^13 // N (at least one).  Memory stays bounded for any N.
 
 The sampled sweep's seeded trials are those of ``rng.integers(len(chosen))``
@@ -152,18 +155,29 @@ def _unwind_steps(re, im, steps, wr, wi, u: complex):
 
 
 def _exhaustive(b, chosen_list, angle):
-    """z for every order, one shared-suffix block per prefix."""
+    """z for every order, one block of the m! suffixes of a set per prefix.
+
+    An order that ends on the m-set Q of slots leaves b_j = u^m x + S: x
+    runs the prefix from b_j and S the suffix from 0.  So the m! sums S
+    of each Q are run once, for every chosen qubit outside Q and every
+    order of the slots left.
+    """
     u, wr, wi = _recurrence(b, angle)
     n = b.size - 1
     m = min(SUFFIX_LEN, n)
     suffixes = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(m))),
                            np.intp, count=m * math.factorial(m)).reshape(-1, m).T
-    for chosen in chosen_list:
-        pool = [q for q in range(n + 1) if q != chosen]
-        for prefix in itertools.permutations(pool, n - m):
-            re, im = _unwind_steps(b[chosen].real, b[chosen].imag, prefix, wr, wi, u)
-            rest = np.array([q for q in pool if q not in prefix], dtype=np.intp)
-            yield _z(*_unwind_steps(re, im, rest[suffixes], wr, wi, u))
+    um = math.prod([u] * m)  # u^m by repeated complex products
+    for q in itertools.combinations(range(n + 1), m):
+        chosen_q = [j for j in chosen_list if j not in q]
+        if not chosen_q:
+            continue
+        sr, si = _unwind_steps(0.0, 0.0, np.array(q)[suffixes], wr, wi, u)
+        for chosen in chosen_q:
+            pool = [k for k in range(n + 1) if k != chosen and k not in q]
+            for prefix in itertools.permutations(pool):
+                xr, xi = _unwind_steps(b[chosen].real, b[chosen].imag, prefix, wr, wi, u)
+                yield _z(um.real * xr - um.imag * xi + sr, um.real * xi + um.imag * xr + si)
 
 
 def _draw_steps(n: int, k: int) -> list[tuple[int, bool]]:

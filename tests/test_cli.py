@@ -29,6 +29,11 @@ def _child_env(env=None, **extra):
     return env
 
 
+def _buffered_env(**extra):
+    """``_child_env`` without PYTHONUNBUFFERED: a child's stdout to a pipe or a file is buffered."""
+    return _child_env({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, **extra)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -1013,8 +1018,7 @@ def test_closed_stdout_ends_in_one_error_line(argv, first, buffering):
     # the streamed CSV dump and trajectory write in chunks, so the write after
     # the reader has gone fails with a broken pipe, with Python's stdout buffer
     # or without
-    env = _child_env({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
-                     **buffering)
+    env = _buffered_env(**buffering)
     argv = [sys.executable, "-m", "qhog", *argv.split()]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         assert proc.stdout.readline() == first
@@ -1035,8 +1039,7 @@ def test_closed_stdout_ends_in_one_error_line(argv, first, buffering):
 def test_full_stdout_ends_in_one_error_line(argv, buffering):
     # every write to /dev/full fails with ENOSPC: the unbuffered run at the
     # first write, the buffered one when the data is flushed before the summary
-    env = _child_env({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
-                     **buffering)
+    env = _buffered_env(**buffering)
     argv = [sys.executable, "-m", "qhog", *argv.split()]
     with open("/dev/full", "w") as full:
         proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
@@ -1108,6 +1111,66 @@ def test_one_cpu_prints_the_same_bytes(argv):
 def test_cli_entry_point_defaults_openblas_to_one_thread(caller, want):
     code = "import os, qhog.__main__; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert _run_python(code, **caller) == want + "\n"
+
+
+def test_large_streamed_output_survives_the_exit_path(tmp_path, capsys):
+    # a qhog process leaves through os._exit, which flushes nothing: the last
+    # buffer of a streamed CSV must reach the pipe, and the --out file be closed
+    argv = ["homogenize", "--eta", "0.1", "--n", "200000", "--format", "csv"]
+    env = _buffered_env()
+    piped = subprocess.run([sys.executable, "-m", "qhog", *argv], capture_output=True, env=env,
+                           timeout=120)
+    path = tmp_path / "out.csv"
+    filed = subprocess.run([sys.executable, "-m", "qhog", *argv, "--out", str(path)],
+                           capture_output=True, env=env, timeout=120)
+    code, out, err = run_cli(capsys, *argv)
+    assert piped.returncode == filed.returncode == code == 0
+    assert len(piped.stdout) > 5_000_000
+    assert piped.stdout == path.read_bytes() == out.encode()
+    assert piped.stderr == filed.stderr == err.encode()
+
+
+_ENTRY_CASES = [
+    (["bounds", "--delta", "0.02", "--format", "json"], 0),
+    (["safe", "--eta", _FULL_SWAP, "--n", "4", "--mode", "correct"], 1),  # the safe fails
+    (["bounds", "--delta", "nan"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,want", _ENTRY_CASES, ids=["ok", "safe-fails", "bad-input"])
+def test_main_returns_and_run_exits_with_its_code(capsys, monkeypatch, argv, want):
+    # importing qhog.__main__ sets OPENBLAS_NUM_THREADS when it is unset; the
+    # test takes it back
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    from qhog import __main__ as entry
+
+    assert entry.main(argv) == want  # in process, without exiting
+    captured = capsys.readouterr()
+    # the console script's call: nothing after run() runs
+    code = f"import sys, qhog.__main__; sys.argv[1:] = {argv!r}; qhog.__main__.run(); print('back')"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_buffered_env(),
+                          timeout=120)
+    assert proc.returncode == want
+    assert (proc.stdout, proc.stderr) == (captured.out.encode(), captured.err.encode())
+
+
+@pytest.mark.parametrize("main,stdout,want,err", [
+    # stdout cannot take the buffer that run() flushes: exit 2, as main's own
+    # unwritable stdout ends
+    ("lambda: sys.stdout.write('x') and 0", "/dev/full", 2, b""),
+    # an exception ends in the interpreter's own exit and traceback
+    ("lambda: 1 / 0", None, 1, b"ZeroDivisionError"),
+], ids=["unflushable-stdout", "exception"])
+def test_run_ends_other_exits(main, stdout, want, err):
+    if stdout is not None and not os.path.exists(stdout):
+        pytest.skip(f"needs {stdout}")
+    code = f"import sys, qhog.__main__ as entry; entry.main = {main}; entry.run()"
+    env = _buffered_env()
+    with open(stdout or os.devnull, "w") as fh:
+        proc = subprocess.run([sys.executable, "-c", code], stdout=fh, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    assert proc.returncode == want
+    assert err in proc.stderr and (err or proc.stderr == b"")
 
 
 def test_readme_library_example_runs():

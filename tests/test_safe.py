@@ -173,6 +173,57 @@ def test_bin_indices_match_bin_index_at_boundaries():
     assert bin_indices(np.array(zs)).tolist() == [bin_index(z) for z in zs]
 
 
+def _exhaustive_per_prefix(b, chosen_list, angle):
+    """The exhaustive sweep's earlier kernel: every prefix runs the Horner steps of its suffixes."""
+    u, wr, wi = safe._recurrence(b, angle)
+    n = b.size - 1
+    m = min(safe.SUFFIX_LEN, n)
+    suffixes = np.array(list(itertools.permutations(range(m))), dtype=np.intp).T
+    for chosen in chosen_list:
+        pool = [q for q in range(n + 1) if q != chosen]
+        for prefix in itertools.permutations(pool, n - m):
+            re, im = safe._unwind_steps(b[chosen].real, b[chosen].imag, prefix, wr, wi, u)
+            rest = np.array([q for q in pool if q not in prefix], dtype=np.intp)
+            yield safe._z(*safe._unwind_steps(re, im, rest[suffixes], wr, wi, u))
+
+
+def _assert_far_from_every_edge(z, margin=1e-12):
+    """No z lies within ``margin`` of a step of ``bin_indices`` or of a reversal tolerance."""
+    t = (z + 1.05) * 10.0 + 1e-9  # bin_indices steps where t crosses an integer
+    assert np.abs(t - np.rint(t)).min() > 10.0 * margin
+    for tol in (safe.EXACT_REVERSAL_TOL, safe.NEAR_REVERSAL_TOL):
+        assert np.abs(np.abs(z + 1.0) - tol).min() > margin
+
+
+def _tally(z):
+    """The histogram, exact and near reversals that ``_sweep`` takes of the z of a sweep."""
+    d = np.abs(z + 1.0)
+    return (np.bincount(bin_indices(z), minlength=NUM_BINS).tolist(),
+            np.count_nonzero(d <= safe.EXACT_REVERSAL_TOL),
+            np.count_nonzero(d <= safe.NEAR_REVERSAL_TOL))
+
+
+# the angle of the pinned safe outputs (--delta 0.1: their exhaustive sweeps are
+# correct N = 9 and incorrect N = 8) and three seeded random angles
+@pytest.mark.parametrize("angle", [DELTA_ANGLE, *map(SwapAngle, np.random.default_rng(
+    2718).uniform(0.0, math.pi / 2, 3).tolist())])
+def test_suffix_sums_keep_every_bin_of_the_per_prefix_kernel(angle):
+    # u^m x + S rounds otherwise than m more Horner steps from x: every z must
+    # stay far enough from the bin edges and the reversal tolerances that the
+    # histogram, exact_reversals and near_reversals cannot move
+    for mode, top in (("correct", 9), ("incorrect", 8)):
+        for n in range(1, top + 1):
+            b = excitation_forward_run(n, angle).amplitudes
+            chosen_list = [0] if mode == "correct" else list(range(1, n + 1))
+            new = np.concatenate(list(safe._exhaustive(b, chosen_list, angle)))
+            old = np.concatenate(list(_exhaustive_per_prefix(b, chosen_list, angle)))
+            assert new.size == old.size == len(chosen_list) * math.factorial(n)
+            _assert_far_from_every_edge(new)
+            _assert_far_from_every_edge(old)
+            assert np.abs(np.sort(new) - np.sort(old)).max() <= 1e-13, (mode, n)
+            assert _tally(new) == _tally(old), (mode, n)
+
+
 def test_canonical_histograms_pinned():
     hist = sweep_correct(9, DELTA_ANGLE)
     assert hist.counts == CORRECT_9_COUNTS
