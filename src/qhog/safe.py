@@ -25,22 +25,22 @@ permutations, for every chosen qubit and prefix order of the other
 slots.  The sampled sweep draws its orders in batches of at most
 2^13 // N (at least one).  Memory stays bounded for any N.
 
-The sampled sweep's seeded trials are those of ``rng.integers(len(chosen))``
-followed by ``rng.shuffle(arange(N))`` per trial on ``default_rng(seed)``,
-but they are read in bulk from the PCG64 stream.  That stream,
-``default_rng(seed).bit_generator.random_raw``, is computed here
-(``_PCG64``: numpy's seeding in Python ints, then 2^12 lanes in uint64
-limbs), so no command loads ``numpy.random``; it comes in rounds of 2^12
-64-bit outputs, 2^13 32-bit draws (low half first).  A window of whole
-rounds holds the draws of the next trials, and numpy replays each call's
-rejection sampling on the whole window at once, every trial of a batch
-moving on from a rejected draw in one full-width step.  The pick is
-Lemire's method on one draw; Fisher-Yates step i = N-1, ..., 1 keeps the
-first draw whose low bit_length(i) bits are at most i.  So every pick and
-order is bit-identical to the per-trial calls, and depends only on the
-PCG64 stream.  Finding where each trial ends runs every sampler over every
-draw of the window, about 1.3 N^2 draw tests per trial, so the bulk read
-beats the per-trial calls up to N of about 15 and loses above.
+The sampled sweep's seeded trials are those of
+``rng.integers(len(chosen))`` followed by ``rng.shuffle(arange(N))`` per
+trial on ``default_rng(seed)``, but they are read in bulk from the PCG64
+stream.  That stream, ``default_rng(seed).bit_generator.random_raw``, is
+computed here (``_pcg64_rounds``: numpy's seeding in Python ints, then
+2^12 lanes in uint64 limbs), so no command loads ``numpy.random``; it
+yields rounds of 2^12 64-bit outputs, 2^13 32-bit draws (low half first).
+A window of whole rounds holds the draws of the next trials, and numpy
+replays each call's rejection sampling on the whole window at once, every
+trial of a batch moving on from a rejected draw in one full-width step.
+The pick is Lemire's method on one draw; Fisher-Yates step i = N-1, ..., 1
+keeps the first draw whose low bit_length(i) bits are at most i.  So every
+pick and order is bit-identical to the per-trial calls, and depends only
+on the PCG64 stream.  Finding where each trial ends runs every sampler
+over every draw of the window, about 1.3 N^2 draw tests per trial, so the
+bulk read beats the per-trial calls up to N of about 15 and loses above.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def _draw_trials(n: int, k: int, sample: int, rounds):
     """Picks and orders of ``sample`` trials, in batches of max(1, 2 * _LANES // n).
 
     ``rounds`` yields whole rounds of _LANES 64-bit outputs; with the rounds
-    of ``_PCG64(seed)``, trial r is bit for bit ``rng.integers(k)`` then
+    of ``_pcg64_rounds(seed)``, trial r is bit for bit ``rng.integers(k)`` then
     ``rng.shuffle(arange(n))`` on ``default_rng(seed)``.  Each batch finds
     every trial's end in the window of 32-bit draws, walks from its first
     draw to the starts of its trials and replays them.  When the next
@@ -349,7 +349,7 @@ def _xsl_rr(hi, lo):
     return value >> rot | value << (np.uint64(64) - rot & np.uint64(63))
 
 
-class _PCG64:
+def _pcg64_rounds(seed: int):
     """The PCG64 stream of ``numpy.random.default_rng(seed)``, in rounds of _LANES outputs.
 
     M. E. O'Neill, HMC-CS-2014-0905: each output steps the 128-bit state
@@ -358,30 +358,26 @@ class _PCG64:
     the state of output j of the next round.  The lanes double from lane
     0, a s + inc with a = _PCG_MULT: lanes w..2w-1 are lanes 0..w-1 stepped
     by the jump (a_w, c_w) of w outputs, with a_1 = a, c_1 = inc, a_2w =
-    a_w^2 and c_2w = c_w (a_w + 1).  Each round returns the lanes' outputs
-    and steps every lane by the jump of _LANES outputs.
+    a_w^2 and c_2w = c_w (a_w + 1).  The seed is checked before any round
+    is read; each round yields the lanes' outputs and then steps every lane
+    by the jump of _LANES outputs.
     """
+    initstate, initseq = _pcg64_seed(seed)
+    inc = (initseq << 1 | 1) & _M128
+    a, c = _PCG_MULT, inc
+    state = ((inc + initstate) * a + inc) & _M128
+    hi, lo = (np.array([x]) for x in _words((a * state + inc) & _M128))
+    while hi.size < _LANES:
+        step = _mul_add(hi, lo, *_words(a), *_words(c))
+        hi, lo = np.concatenate([hi, step[0]]), np.concatenate([lo, step[1]])
+        a, c = a * a & _M128, c * (a + 1) & _M128
 
-    def __init__(self, seed: int):
-        initstate, initseq = _pcg64_seed(seed)
-        inc = (initseq << 1 | 1) & _M128
-        a, c = _PCG_MULT, inc
-        state = ((inc + initstate) * a + inc) & _M128
-        hi, lo = (np.array([x]) for x in _words((a * state + inc) & _M128))
-        while hi.size < _LANES:
-            step = _mul_add(hi, lo, *_words(a), *_words(c))
-            hi, lo = np.concatenate([hi, step[0]]), np.concatenate([lo, step[1]])
-            a, c = a * a & _M128, c * (a + 1) & _M128
-        self._lanes = hi, lo
-        self._round = (*_words(a), *_words(c))
+    def rounds(hi, lo, *jump):
+        while True:
+            yield _xsl_rr(hi, lo)
+            hi, lo = _mul_add(hi, lo, *jump)
 
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> np.ndarray:
-        out = _xsl_rr(*self._lanes)
-        self._lanes = _mul_add(*self._lanes, *self._round)
-        return out
+    return rounds(hi, lo, *_words(a), *_words(c))
 
 
 def _sampled(b, chosen_list, angle, sample: int, seed: int):
@@ -389,12 +385,12 @@ def _sampled(b, chosen_list, angle, sample: int, seed: int):
 
     Trial r draws ``rng.integers(len(chosen_list))`` and then
     ``rng.shuffle(arange(N))`` on ``default_rng(seed)``; ``_draw_trials``
-    reads those draws in bulk from the rounds of ``_PCG64(seed)``, the
+    reads those draws in bulk from the rounds of ``_pcg64_rounds(seed)``, the
     same stream, one batch of trials per window of whole rounds, and each
     batch goes through the kernel as one table.
     """
     n = b.size - 1
-    for picks, orders in _draw_trials(n, len(chosen_list), sample, _PCG64(seed)):
+    for picks, orders in _draw_trials(n, len(chosen_list), sample, _pcg64_rounds(seed)):
         chosen = np.asarray(chosen_list)[picks]
         orders += orders >= chosen[:, None]  # index into the pool -> qubit
         yield unwind_z_excitation(b, chosen, orders, angle)

@@ -544,7 +544,7 @@ def check_safe_determinism(rng, quick) -> str:
     # the sampled trials read safe's own PCG64 stream: its first three rounds
     # must be numpy's, from a seed of one to five 32-bit words
     seed = int.from_bytes(rng.bytes(int(rng.integers(1, 21))), "little")
-    stream = safe._PCG64(seed)
+    stream = safe._pcg64_rounds(seed)
     got = np.concatenate([next(stream) for _ in range(3)])
     want = np.random.default_rng(seed).bit_generator.random_raw(3 * safe._LANES)
     _require(np.array_equal(got, want),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,13 @@ def test_density_rejects_long_vector():
         density_from_bloch([0.5, 0.5, 0.0])
 
 
+def test_qubit_state_rejects_wrong_shapes():
+    for w, shape in (([0.1, 0.2], "(2,)"), ([[0, 0, 0.1]] * 2, "(2, 3)")):
+        message = f"Bloch vector must have 3 components, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QubitState(w)
+
+
 def test_bloch_round_trip():
     for w in ([0, 0, 0], [0, 0, 0.5], [0.5, 0, 0], [0.1, -0.2, 0.3]):
         back = bloch_from_density(density_from_bloch(w))
@@ -46,6 +55,8 @@ def test_bloch_from_density_rejects_garbage():
         bloch_from_density(np.eye(2, dtype=complex))  # trace 2
     with pytest.raises(ValueError):
         bloch_from_density(np.diag([1.5, -0.5]).astype(complex))  # not PSD
+    with pytest.raises(ValueError, match=re.escape("expected a 2x2 matrix, got shape (3, 3)")):
+        bloch_from_density(np.eye(3) / 3)
 
 
 def test_trace_distance_examples():

@@ -851,6 +851,35 @@ def test_verify_subset(capsys):
     assert final["ok"] is True and final["passed"] == 2
 
 
+# the seed 2 run is tests/test_properties.py::test_quick_mode_runs_everything
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_verify_quick_passes_every_suite(capsys, seed):
+    import qhog.verify as verify_mod
+
+    code, out, err = run_cli(capsys, "verify", "--quick", "--seed", seed)
+    assert code == 0, out
+    final = json.loads(out.splitlines()[-1])
+    assert final == {"command": "verify", "failed": [], "ok": True,
+                     "passed": len(verify_mod.ALL_CHECKS)}
+
+
+def test_verify_entanglement_suites_on_one_worker(capsys, monkeypatch):
+    # on one usable CPU the suites' pair reductions run on one pool thread
+    import qhog.entanglement as ent
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert ent._workers() == 1
+    pools = []
+    real = ent._workers
+    monkeypatch.setattr(ent, "_workers", lambda: pools.append(real()) or pools[-1])
+    checks = ",".join(f"entanglement.{name}" for name in
+                      ("ckw_saturation", "closed_form_match", "persistence", "decay"))
+    code, out, err = run_cli(capsys, "verify", "--quick", "--checks", checks)
+    assert code == 0, out
+    assert json.loads(out.splitlines()[-1])["passed"] == 4
+    assert pools and set(pools) == {1}
+
+
 def test_verify_rejects_unknown_check_before_running_any(capsys, monkeypatch):
     import qhog.verify as verify_mod
 
@@ -982,6 +1011,10 @@ def test_error_lines_name_their_input(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "simulate", "--eta", "0.3", "--n", "3")
     assert (code, out) == (2, "")
     assert err == "error: QHOG_MAX_QUBITS must be an integer, got 'abc'\n"
+    monkeypatch.setenv("QHOG_MAX_QUBITS", "1")
+    code, out, err = run_cli(capsys, "simulate", "--eta", "0.3", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: QHOG_MAX_QUBITS must be at least 2, got 1\n"
 
 
 def test_exhaustive_sweep_bound_admits_its_largest_n(monkeypatch):

@@ -11,6 +11,7 @@ from qhog.collision import (
     _system_states,
     _tail_length,
     apply_two_qubit,
+    excitation_collide,
     excitation_forward_run,
     max_qubits,
     reduced_from_vector,
@@ -450,6 +451,9 @@ def test_tail_length_holds_the_least():
 def test_excitation_initial_and_collisions():
     es = ExcitationState.initial(4)
     assert np.array_equal(es.amplitudes, [1, 0, 0, 0])
+    for k in (0, 4):  # slot 0 is the system, and slots 1..3 the reservoir
+        with pytest.raises(ValueError, match=f"slot {k} out of range 1..3"):
+            excitation_collide(es, k, ANGLE)
     n = 6
     es = excitation_forward_run(n, ANGLE)
     c, s = ANGLE.c, ANGLE.s

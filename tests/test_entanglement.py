@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -71,6 +72,8 @@ def test_concurrence_rejects_bad_input():
         concurrence(np.eye(4, dtype=complex))  # trace 4
     with pytest.raises(ValueError):
         concurrence(np.triu(np.ones((4, 4))).astype(complex) / 4)
+    with pytest.raises(ValueError, match=re.escape("a 4x4 density matrix, got shape (2, 2)")):
+        concurrence(np.eye(2) / 2)
 
 
 def test_concurrence_matches_reference_route():

@@ -1,6 +1,7 @@
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from qhog.bloch import QubitState, random_pure_state, random_state, trace_distance
 from qhog.cli import _trajectory_csv
 from qhog.homogenizer import (
+    MAX_STEPS,
     SWAP,
     SwapAngle,
     budget_from_delta,
@@ -47,6 +49,12 @@ def test_swap_angle_rejects_non_finite():
     for eta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             SwapAngle(eta)
+
+
+def test_from_sin_squared_rejects_values_outside_unit_interval():
+    for s2 in (1.5, -0.1):
+        with pytest.raises(ValueError, match=re.escape(f"sin^2(eta) must lie in [0, 1], got {s2}")):
+            SwapAngle.from_sin_squared(s2)
 
 
 def test_partial_swap_limits():
@@ -179,6 +187,14 @@ def test_trajectory_constant_at_fixed_point():
         assert st.d_reservoir == pytest.approx(0.0, abs=1e-12)
 
 
+def test_trajectory_length_bounds():
+    # the CLI rejects both lengths before the library sees them
+    xi = QubitState([0.1, 0.2, 0.3])
+    for n_steps in (0, MAX_STEPS + 1):
+        with pytest.raises(ValueError, match=f"takes 1 to 1048576 steps, got {n_steps}$"):
+            run_trajectory(xi, xi, SwapAngle(0.3), n_steps)
+
+
 def test_trajectory_monotone_and_weights():
     rng = np.random.default_rng(51)
     rho0, xi = random_state(rng), random_state(rng)
@@ -289,6 +305,8 @@ def test_check_universality_rejects_cnot():
 def test_check_universality_rejects_non_unitary():
     with pytest.raises(ValueError):
         check_universality(np.ones((4, 4), dtype=complex))
+    with pytest.raises(ValueError, match=re.escape("expected a 4x4 matrix, got shape (2, 2)")):
+        check_universality(np.eye(2))
 
 
 def test_contraction_property():

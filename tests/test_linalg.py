@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -161,5 +163,7 @@ def test_trace_norm_rejects_non_hermitian():
 def test_predicates():
     assert is_hermitian(SX)
     assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(ValueError, match=re.escape("expected a square matrix, got shape (2, 3)")):
+        is_hermitian(np.ones((2, 3)))
     assert is_unitary(SY)
     assert not is_unitary(2 * I2)

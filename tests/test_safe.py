@@ -11,8 +11,8 @@ from qhog.collision import excitation_forward_run, run_pure
 from qhog.homogenizer import SwapAngle, budget_from_delta
 from qhog.safe import (
     NUM_BINS,
-    _PCG64,
     _draw_trials,
+    _pcg64_rounds,
     bin_centers,
     bin_index,
     bin_indices,
@@ -497,7 +497,7 @@ def test_pcg64_stream_equals_numpy_random_raw(monkeypatch, lanes, seed):
     # the seed pool.  The lanes are doubled from one (one lane: no doubling
     # pass), and nine rounds step them by the round's jump eight times
     monkeypatch.setattr(safe, "_LANES", lanes)
-    stream = _PCG64(seed)
+    stream = _pcg64_rounds(seed)
     got = np.concatenate([next(stream) for _ in range(9)])
     want = np.random.default_rng(seed).bit_generator.random_raw(9 * lanes)
     assert got.dtype == np.uint64 and np.array_equal(got, want)
@@ -505,7 +505,11 @@ def test_pcg64_stream_equals_numpy_random_raw(monkeypatch, lanes, seed):
 
 @pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.0, TypeError)])
 def test_pcg64_rejects_what_default_rng_rejects(seed, error):
+    # the seed is checked when the stream is built, before any round is read:
+    # a sampled sweep at N = 1 takes no draws and still rejects it
     with pytest.raises(error):
         np.random.default_rng(seed)
     with pytest.raises(error):
-        _PCG64(seed)
+        _pcg64_rounds(seed)
+    with pytest.raises(error):
+        sweep_incorrect(1, ANGLE, sample=5, seed=seed)
